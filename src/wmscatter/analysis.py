@@ -2,10 +2,12 @@
 reporting against the conventional bound, calibration-masking audit, and
 spectrum file ingestion.
 
-The recoil fit E = C_A K^2 / M is exactly linear in 1/M and solved in closed
-form; the two-parameter roto-recoil fit E = E_rot + C_A K^2 / M uses
-Gauss-Newton iteration with the analytic Jacobian, started from the exact
-linear solution in (E_rot, 1/M).
+Two numpy least-squares routines serve every fit.  The recoil fit
+E = C_A K^2 / M and the roto-recoil fit E = E_rot + C_A K^2 / M are linear in
+(E_rot, 1/M), so both are solved in closed form by one weighted linear least
+squares (_linear_mass_fit).  The nonlinear fits, the Gaussian peak refinement
+and the calibration audit, use one damped Gauss-Newton (Levenberg-Marquardt)
+routine (_levenberg_marquardt).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit, least_squares
 
 from . import constants as C
 from .errors import (
@@ -32,8 +33,13 @@ from .errors import (
 from .kinematics import KEPoint, effective_mass_bound_check
 from .spectra import InstrumentConfig, Spectrum, TofBinning, _trajectory_arrays
 
-GN_MAX_ITER = 200
-GN_REL_STEP = 1e-10
+# Levenberg-Marquardt limits: function evaluations, and the relative tolerance
+# (MINPACK's default ftol/xtol) on the cost drop still available to a
+# Gauss-Newton step and on the step length.
+LM_MAX_EVAL = 400
+LM_TOL = 1.49012e-8
+# Forward-difference step, relative to max(|x|, 1), for numerical Jacobians.
+FD_STEP = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -70,8 +76,56 @@ class CalibrationReport:
     assumed_mass: float
 
 
-def _gauss(x, amp, center, width):
-    return amp * np.exp(-((x - center) ** 2) / (2.0 * width**2))
+def _levenberg_marquardt(fun, x0):
+    """Minimize |r(x)|^2 by damped Gauss-Newton; fun(x) returns (r, J).
+
+    Steps solve (J^T J + mu D) h = -J^T r, D the running max of diag(J^T J)
+    (MINPACK's scaling), with Nielsen's update of mu.  Stops when an accepted
+    step and an undamped Gauss-Newton step would both lower the cost by a
+    relative LM_TOL or less (a damped step alone can crawl along a flat
+    valley), or the step is within LM_TOL of |x|.  Returns (x, r, J); raises
+    NonConvergence on a non-finite start or after LM_MAX_EVAL evaluations.
+    """
+    x = np.asarray(x0, dtype=float)
+    r, jac = fun(x)
+    cost = float(r @ r)
+    if not np.isfinite(cost):
+        raise NonConvergence("non-finite residuals at the starting point")
+    scale = (jac * jac).sum(axis=0)
+    scale[scale == 0] = 1.0
+    mu, nu = 1e-3, 2.0
+    small_drop = False
+    for _ in range(LM_MAX_EVAL):
+        grad = jac.T @ r
+        jtj = jac.T @ jac
+        if small_drop:
+            try:
+                if grad @ np.linalg.solve(jtj, grad) <= LM_TOL * cost:
+                    return x, r, jac
+            except np.linalg.LinAlgError:
+                pass
+        np.maximum(scale, jtj.diagonal(), out=scale)
+        damp = mu * scale
+        jtj.flat[::len(x) + 1] += damp   # J^T J + mu D: positive definite
+        step = np.linalg.solve(jtj, -grad)
+        small_step = step @ step <= (LM_TOL * (math.sqrt(x @ x) + LM_TOL)) ** 2
+        x_new = x + step
+        r_new, jac_new = fun(x_new)
+        cost_new = float(r_new @ r_new)
+        drop = cost - cost_new
+        if drop > 0:   # False for a NaN cost: the step is rejected
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+            rho = drop / float(step @ (damp * step - grad))
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu = 2.0
+            small_drop = drop <= LM_TOL * (cost + drop)
+        else:
+            mu *= nu
+            nu *= 2.0
+            small_drop = False
+        if small_step:
+            return x, r, jac
+    raise NonConvergence(f"no convergence in {LM_MAX_EVAL} evaluations")
 
 
 def peak_centroid(spec: Spectrum, energy_axis, window=None,
@@ -79,9 +133,11 @@ def peak_centroid(spec: Spectrum, energy_axis, window=None,
     """Locate the peak of counts-versus-energy data.
 
     First-moment centroid over the window, then a Gaussian least-squares
-    refinement.  When window is None it defaults to +-3 coarse widths around
-    the coarse centroid, iterated once.  count_errors (same length as counts)
-    enables calibrated centroid uncertainties.
+    refinement by _levenberg_marquardt with the analytic Jacobian, started
+    from the window's moments.  When window is None it defaults to +-3 coarse
+    widths around the coarse centroid, iterated once.  count_errors (same
+    length as counts) weights the fit and makes the centroid uncertainty
+    absolute; without it the covariance is scaled by chi^2 / dof.
     """
     e = np.asarray(energy_axis, dtype=float)
     y = np.asarray(spec.counts, dtype=float)
@@ -105,22 +161,33 @@ def peak_centroid(spec: Spectrum, energy_axis, window=None,
     var = float(np.sum((ew - first) ** 2 * yw * de) / tot)
     width0 = math.sqrt(max(var, (ew[1] - ew[0]) ** 2 / 12.0))
     p0 = [float(yw.max()), first, width0]
-    sig = None
-    absolute = False
+    inv_sig = None
     if count_errors is not None:
         sig = np.asarray(count_errors, dtype=float)[mask]
-        sig = np.where(sig > 0, sig, sig[sig > 0].min() if np.any(sig > 0) else 1.0)
-        absolute = True
+        inv_sig = 1.0 / np.where(
+            sig > 0, sig, sig[sig > 0].min() if np.any(sig > 0) else 1.0)
+
+    def residuals(p):
+        jac = _gauss_jac(ew, *p)
+        r = p[0] * jac[:, 0] - yw
+        if inv_sig is None:
+            return r, jac
+        return r * inv_sig, jac * inv_sig[:, None]
+
     try:
-        popt, pcov = curve_fit(_gauss, ew, yw, p0=p0, sigma=sig,
-                               absolute_sigma=absolute, maxfev=4000)
-    except RuntimeError as exc:
+        popt, wres, wjac = _levenberg_marquardt(residuals, p0)
+    except NonConvergence as exc:
         raise NonConvergence(f"Gaussian refinement failed: {exc}") from exc
     amp, center, width = float(popt[0]), float(popt[1]), abs(float(popt[2]))
-    resid = yw - _gauss(ew, *popt)
     cerr = None
-    if np.all(np.isfinite(pcov)):
-        cerr = float(math.sqrt(abs(pcov[1][1])))
+    try:
+        cov = np.linalg.inv(wjac.T @ wjac)
+        if count_errors is None:
+            cov *= float(wres @ wres) / (len(yw) - len(popt))
+        cerr = float(math.sqrt(abs(cov[1, 1])))
+    except np.linalg.LinAlgError:
+        pass
+    resid = wres if inv_sig is None else wres / inv_sig
     return PeakFit(center, width, amp, float(np.linalg.norm(resid)),
                    first_moment=first, centroid_err=cerr)
 
@@ -148,41 +215,48 @@ def _auto_window(e, y):
     return c - 3.0 * w, c + 3.0 * w
 
 
-def _weights(points):
+def _linear_mass_fit(points, with_offset: bool) -> MassFitResult:
+    """Weighted linear least squares of E = [E_rot +] C_A K^2 * beta.
+
+    The model is linear in (E_rot, beta = 1/M_eff), so the closed-form
+    solution is the optimum.  The covariance is (A^T W A)^-1, scaled by
+    chi^2 / dof unless every point carries sigma_e (absolute weights); the
+    mass stderr follows by the delta method, sigma_M = sigma_beta / beta^2.
+    """
+    n_min = 4 if with_offset else 3
+    if len(points) < n_min:
+        raise InsufficientPoints(f"need >= {n_min} points, got {len(points)}")
+    x = C.ATOM_E_COEF * np.array([p.k for p in points]) ** 2
+    if np.ptp(x) == 0:
+        raise CollinearDegeneracy("all |K| values coincide")
+    es = np.array([p.e for p in points])
     sig = [p.sigma_e for p in points]
-    if all(s is not None and s > 0 for s in sig):
-        return np.array([1.0 / s**2 for s in sig]), True
-    return np.ones(len(points)), False
+    absolute = all(s is not None and s > 0 for s in sig)
+    sw = 1.0 / np.array(sig) if absolute else np.ones(len(points))
+    design = (np.column_stack([np.ones_like(x), x]) if with_offset
+              else x[:, None]) * sw[:, None]
+    coef, *_ = np.linalg.lstsq(design, es * sw, rcond=None)
+    beta = float(coef[-1])
+    if beta <= 0:
+        raise NonConvergence("fitted curvature is non-positive; no mass solution")
+    cov = np.linalg.inv(design.T @ design)
+    if not absolute:
+        r = es * sw - design @ coef
+        cov *= float(r @ r) / (len(points) - len(coef))
+    e_rot, e_rot_err = (float(coef[0]), math.sqrt(cov[0, 0])) if with_offset \
+        else (0.0, 0.0)
+    return MassFitResult(1.0 / beta, math.sqrt(cov[-1, -1]) / beta**2,
+                         e_rot_fit=e_rot, e_rot_stderr=e_rot_err)
 
 
 def fit_recoil_mass(points, m_free: float | None = None) -> MassFitResult:
     """Weighted least squares of E = C_A K^2 / M_eff (linear in 1/M_eff)."""
-    points = list(points)
-    if len(points) < 3:
-        raise InsufficientPoints(f"need >= 3 points, got {len(points)}")
-    ks = np.array([p.k for p in points])
-    if np.ptp(ks) == 0:
-        raise CollinearDegeneracy("all K values coincide")
-    es = np.array([p.e for p in points])
-    w, absolute = _weights(points)
-    x = C.ATOM_E_COEF * ks**2
-    sxx = np.sum(w * x * x)
-    beta = np.sum(w * x * es) / sxx
-    if beta <= 0:
-        raise NonConvergence("fitted curvature is non-positive; no mass solution")
-    if absolute:
-        var_beta = 1.0 / sxx
-    else:
-        chi2 = np.sum(w * (es - beta * x) ** 2)
-        var_beta = chi2 / max(len(points) - 1, 1) / sxx
-    m_eff = 1.0 / beta
-    stderr = math.sqrt(var_beta) / beta**2
-    return _classified(MassFitResult(m_eff, stderr), m_free)
+    return _classified(_linear_mass_fit(list(points), with_offset=False), m_free)
 
 
 def fit_roto_recoil(points, pin_e_rot: float | None = None,
                     m_free: float | None = None) -> MassFitResult:
-    """Two-parameter fit E = E_rot + C_A K^2 / M_eff by Gauss-Newton.
+    """Two-parameter fit E = E_rot + C_A K^2 / M_eff, linear in (E_rot, 1/M_eff).
 
     With pin_e_rot set, the offset is held fixed and the problem reduces to
     fit_recoil_mass on the shifted energies.
@@ -190,53 +264,8 @@ def fit_roto_recoil(points, pin_e_rot: float | None = None,
     points = list(points)
     if pin_e_rot is not None:
         shifted = [KEPoint(p.k, p.e - pin_e_rot, p.sigma_e) for p in points]
-        base = fit_recoil_mass(shifted, m_free=None)
-        return _classified(
-            MassFitResult(base.m_eff, base.stderr, e_rot_fit=pin_e_rot),
-            m_free)
-    if len(points) < 4:
-        raise InsufficientPoints(f"need >= 4 points, got {len(points)}")
-    ks = np.array([p.k for p in points])
-    if np.ptp(ks) == 0:
-        raise CollinearDegeneracy("all K values coincide")
-    es = np.array([p.e for p in points])
-    w, absolute = _weights(points)
-    x = C.ATOM_E_COEF * ks**2
-    sw = np.sqrt(w)
-    # exact linear start in (E_rot, 1/M)
-    design = np.column_stack([np.ones_like(x), x]) * sw[:, None]
-    sol, *_ = np.linalg.lstsq(design, es * sw, rcond=None)
-    e_rot, beta = float(sol[0]), float(sol[1])
-    if beta <= 0:
-        raise NonConvergence("fitted curvature is non-positive; no mass solution")
-    m = 1.0 / beta
-    theta = np.array([e_rot, m])
-    for _ in range(GN_MAX_ITER):
-        model = theta[0] + x / theta[1]
-        r = es - model
-        jac = np.column_stack([np.ones_like(x), -x / theta[1] ** 2])
-        step, *_ = np.linalg.lstsq(jac * sw[:, None], r * sw, rcond=None)
-        theta = theta + step
-        if np.linalg.norm(step) < GN_REL_STEP * max(np.linalg.norm(theta), 1.0):
-            break
-    else:
-        raise NonConvergence(f"Gauss-Newton did not converge in {GN_MAX_ITER} iterations")
-    e_rot, m = float(theta[0]), float(theta[1])
-    if m <= 0:
-        raise NonConvergence("converged to non-positive mass")
-    jac = np.column_stack([np.ones_like(x), -x / m**2]) * sw[:, None]
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError as exc:
-        raise CollinearDegeneracy("singular normal equations") from exc
-    if not absolute:
-        r = es - (e_rot + x / m)
-        cov = cov * float(np.sum(w * r**2)) / max(len(points) - 2, 1)
-    return _classified(
-        MassFitResult(m, float(math.sqrt(abs(cov[1, 1]))), e_rot_fit=e_rot,
-                      e_rot_stderr=float(math.sqrt(abs(cov[0, 0])))),
-        m_free)
+        return replace(fit_recoil_mass(shifted, m_free), e_rot_fit=pin_e_rot)
+    return _classified(_linear_mass_fit(points, with_offset=True), m_free)
 
 
 def _classified(fit: MassFitResult, m_free) -> MassFitResult:
@@ -333,9 +362,14 @@ def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
 
 
 def _gauss_jac(e, amp, center, width):
+    """Jacobian of amp * exp(-(e - center)^2 / (2 width^2)) in (amp, center,
+    width); column 0 is the unit-amplitude Gaussian itself."""
     u = (e - center) / width
-    g = np.exp(-0.5 * u**2)
-    return np.column_stack([g, amp * g * u / width, amp * g * u**2 / width])
+    jac = np.empty((len(e), 3), order="F")
+    jac[:, 0] = np.exp(-0.5 * u * u)
+    jac[:, 1] = (amp / width) * jac[:, 0] * u
+    jac[:, 2] = jac[:, 1] * u
+    return jac
 
 
 def centroid_ke(red: ReducedDetector, window=None) -> tuple:
@@ -358,8 +392,7 @@ def centroid_ke(red: ReducedDetector, window=None) -> tuple:
         if np.count_nonzero(mask) >= 5:
             ew = red.e[mask]
             jac = _gauss_jac(ew, fit.amplitude, fit.centroid, fit.width)
-            model_counts = _gauss(ew, fit.amplitude, fit.centroid, fit.width) \
-                * red.factor[mask]
+            model_counts = fit.amplitude * jac[:, 0] * red.factor[mask]
             var_i = np.maximum(model_counts, 1.0) / red.factor[mask] ** 2
             jtj = jac.T @ jac
             try:
@@ -447,14 +480,24 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
             out.append((e - C.ATOM_E_COEF * kk**2 / assumed_m) / sig)
         return np.array(out)
 
+    def residuals_and_jacobian(x):
+        r = residuals(x)
+        jac = np.empty((len(r), len(x)))
+        for j in range(len(x)):
+            shifted = x.copy()
+            shifted[j] += FD_STEP * max(abs(x[j]), 1.0)
+            jac[:, j] = (residuals(shifted) - r) / (shifted[j] - x[j])
+        return r, jac
+
     deltas = {name: 0.0 for name in AUDIT_PARAMS}
     resid_norm = float(np.linalg.norm(residuals([])))
     if free:
-        res = least_squares(residuals, np.zeros(len(free)), method="lm")
-        if not res.success:
-            raise NonConvergence(f"calibration adjustment failed: {res.message}")
-        deltas.update(dict(zip(free, (float(v) for v in res.x))))
-        resid_norm = float(np.linalg.norm(res.fun))
+        try:
+            x, r, _ = _levenberg_marquardt(residuals_and_jacobian, np.zeros(len(free)))
+        except NonConvergence as exc:
+            raise NonConvergence(f"calibration adjustment failed: {exc}") from exc
+        deltas.update(dict(zip(free, (float(v) for v in x))))
+        resid_norm = float(np.linalg.norm(r))
     fit_points = []
     use = {k: v for k, v in deltas.items() if k in free}
     for d, tp, sig in t_peaks:
@@ -462,7 +505,7 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
         if ke is not None:
             fit_points.append(KEPoint(ke[0], ke[1], sig if sig != 1.0 else None))
     refit = fit_recoil_mass(fit_points)
-    masking = abs(refit.m_eff - assumed_m) / assumed_m < masking_tol
+    masking = bool(abs(refit.m_eff - assumed_m) / assumed_m < masking_tol)
     return CalibrationReport(deltas, refit.m_eff, masking, resid_norm, assumed_m)
 
 
@@ -520,6 +563,8 @@ def ingest_spectrum(path, strict: bool = True) -> Spectrum:
             tv, cv = float(parts[0]), float(parts[1])
         except ValueError:
             raise ParseError(i, f"non-numeric row {line!r}") from None
+        if not (math.isfinite(tv) and math.isfinite(cv)):
+            raise ParseError(i, f"non-finite value in row {line!r}")
         if cv < 0:
             raise ParseError(i, f"negative counts {cv}")
         t.append(tv)

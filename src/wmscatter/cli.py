@@ -15,6 +15,7 @@ import glob
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import analysis, spectra, svgplot, weakval
 from .errors import (
@@ -122,14 +123,16 @@ def cmd_simulate(args):
     files = []
     centroids = []
     for d in range(len(cfg.detectors)):
-        spec = spectra.simulate_spectrum(cfg, sample, d)
+        noiseless = spectra.simulate_spectrum(cfg, sample, d)
+        spec = noiseless
         if args.counts > 0:
-            spec = spectra.poisson_sample(spec, args.counts,
+            spec = spectra.poisson_sample(noiseless, args.counts,
                                           _per_detector_seed(args.seed, d))
+        # "seed" stays the Poisson seed; reduce echoes "run_seed" downstream
+        spec = replace(spec, metadata={**spec.metadata, "run_seed": args.seed})
         path = os.path.join(outdir, f"spectrum_det{d:03d}.csv")
         spectra.write_spectrum_csv(spec, path)
         files.append(os.path.basename(path))
-        noiseless = spectra.simulate_spectrum(cfg, sample, d)
         red = analysis.reduce_spectrum(noiseless, cfg, d)
         try:
             pt, _ = analysis.centroid_ke(red)
@@ -162,15 +165,16 @@ def cmd_simulate(args):
     return 0
 
 
-def _expand_inputs(paths):
+def _expand_inputs(paths, pattern):
+    """Input files: each directory contributes its files matching pattern."""
     out = []
     for p in paths:
         if os.path.isdir(p):
-            out.extend(sorted(glob.glob(os.path.join(p, "spectrum_det*.csv"))))
+            out.extend(sorted(glob.glob(os.path.join(p, pattern))))
         else:
             out.append(p)
     if not out:
-        raise FileNotFoundError("no input spectra found")
+        raise FileNotFoundError(f"no input files found (directories searched for {pattern})")
     return out
 
 
@@ -178,12 +182,12 @@ def cmd_reduce(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     records = []
-    seed = None
+    seed = args.seed
     failures = []
-    for path in _expand_inputs(args.input):
+    for path in _expand_inputs(args.input, "spectrum_det*.csv"):
         try:
             spec = analysis.ingest_spectrum(path)
-            seed = spec.metadata.get("seed", seed)
+            seed = spec.metadata.get("run_seed", seed)
             red = analysis.reduce_spectrum(spec, poisson_errors=True)
             ke_path = os.path.join(
                 outdir, f"ke_det{spec.detector_index:03d}.csv")
@@ -197,12 +201,12 @@ def cmd_reduce(args):
         raise WmScatterError(f"all {len(failures)} inputs failed to reduce")
     analysis.write_centroids_csv(
         records, os.path.join(outdir, "centroids.csv"),
-        metadata={"seed": seed if seed is not None else args.seed})
+        metadata={"seed": seed})
     return 0
 
 
 def _write_ke_csv(red, meta, path):
-    keep = {k: meta[k] for k in ("schema", "seed", "detector_index",
+    keep = {k: meta[k] for k in ("schema", "seed", "run_seed", "detector_index",
                                  "beam", "detector", "tof_bins", "sample")
             if k in meta}
     with open(path, "w", newline="") as fh:
@@ -278,7 +282,7 @@ def cmd_audit(args):
 
 def cmd_plot(args):
     points = []
-    for path in _expand_inputs(args.input):
+    for path in _expand_inputs(args.input, "ke_det*.csv"):
         points.extend(_read_ke_csv(path))
     centroids = None
     if args.centroids:

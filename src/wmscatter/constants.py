@@ -8,7 +8,6 @@ All derived conversion factors below are computed once from the pinned CODATA
 2018 inputs so that every module shares the same numbers.
 """
 
-import json
 import math
 
 # --- pinned CODATA 2018 inputs -------------------------------------------
@@ -82,10 +81,3 @@ def constants_table():
         "vel_sq_per_meV_m2s2": VEL_SQ_PER_MEV,
         "source": "CODATA 2018 (h, e exact per 2019 SI redefinition)",
     }
-
-
-def dump_constants_json(path):
-    """Write the constants table to a JSON file for audit."""
-    with open(path, "w") as fh:
-        json.dump(constants_table(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

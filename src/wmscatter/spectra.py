@@ -133,6 +133,8 @@ class Spectrum:
         counts = np.asarray(self.counts, dtype=float)
         if counts.shape != (len(edges) - 1,):
             raise ValueError("counts length must be n_bins = len(edges) - 1")
+        if not np.all(np.isfinite(counts)):
+            raise ValueError("counts must be finite")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         edges.setflags(write=False)

@@ -21,7 +21,6 @@ that closed form (and an independent brute-force sum) in the test suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -259,12 +258,6 @@ def deficit_sweep(sigma_i: float, width_ratio: float, hbar_k_values) -> list:
         out.append({"hbarK": float(hk),
                     "deficit": momentum_deficit(pre, post, float(hk))})
     return out
-
-
-def records_to_json(records, path):
-    with open(path, "w") as fh:
-        json.dump(records, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def weakness_estimate(b_fm: float, wavelength_angstrom: float) -> float:

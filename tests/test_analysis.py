@@ -173,6 +173,29 @@ def test_fit_roto_noisy_paper_scale():
     assert fit.classification == "anomalous"
 
 
+@pytest.mark.parametrize("weighted", [True, False])
+def test_fit_roto_is_the_optimum_in_mass_parameters(weighted):
+    """The closed form in (E_rot, 1/M) is a stationary point of the weighted
+    cost in (E_rot, M), and its delta-method stderrs equal the covariance
+    taken directly in (E_rot, M) there."""
+    rng = np.random.default_rng(4)
+    ks = np.linspace(1.2, 4.5, 12)
+    sig = 0.1 + 0.02 * ks
+    x = C.ATOM_E_COEF * ks**2
+    es = 14.7 + x / 0.64 + rng.normal(0.0, sig)
+    pts = [KEPoint(k, e, s if weighted else None) for k, e, s in zip(ks, es, sig)]
+    fit = an.fit_roto_recoil(pts)
+    sw = 1.0 / sig if weighted else np.ones_like(ks)
+    r = (es - fit.e_rot_fit - x / fit.m_eff) * sw
+    jac = np.column_stack([np.ones_like(x), -x / fit.m_eff**2]) * sw[:, None]
+    assert np.abs(jac.T @ r).max() < 1e-9 * np.abs(jac).sum(axis=0).max() * np.abs(r).max()
+    cov = np.linalg.inv(jac.T @ jac)
+    if not weighted:
+        cov *= (r @ r) / (len(ks) - 2)
+    assert fit.stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
+    assert fit.e_rot_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+
+
 def test_fit_roto_needs_four_points():
     with pytest.raises(InsufficientPoints):
         an.fit_roto_recoil(recoil_points(1.0, [1.0, 2.0, 3.0]))
@@ -286,6 +309,16 @@ def test_ingest_rejects_negative_counts(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text('# {"schema": 1, "detector_index": 0}\n'
                  "tof_us,counts\n100.0,5\n101.0,-2\n")
+    with pytest.raises(ParseError) as err:
+        an.ingest_spectrum(p)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("row", ["101.0,nan", "101.0,inf", "nan,5", "-inf,5"])
+def test_ingest_rejects_non_finite_values(tmp_path, row):
+    p = tmp_path / "bad.csv"
+    p.write_text('# {"schema": 1, "detector_index": 0}\n'
+                 f"tof_us,counts\n100.0,5\n{row}\n102.0,5\n")
     with pytest.raises(ParseError) as err:
         an.ingest_spectrum(p)
     assert err.value.line == 4

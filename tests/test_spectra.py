@@ -324,6 +324,14 @@ def test_poisson_zero_expectation():
     assert np.array_equal(out.counts, np.zeros(16))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_spectrum_rejects_non_finite_or_negative_counts(bad):
+    counts = np.ones(16)
+    counts[5] = bad
+    with pytest.raises(ValueError):
+        Spectrum(0, np.linspace(0, 10, 17), counts, {})
+
+
 # --- config and file I/O --------------------------------------------------------------
 
 def test_instrument_json_roundtrip(tmp_path):
