@@ -133,12 +133,14 @@ def cmd_simulate(args):
         path = os.path.join(outdir, f"spectrum_det{d:03d}.csv")
         spectra.write_spectrum_csv(spec, path)
         files.append(os.path.basename(path))
-        red = analysis.reduce_spectrum(noiseless, cfg, d)
+        # the preview reduces the spectrum just written the way `reduce` does,
+        # so preview_fit carries the same centroid weights as `fit`
+        red = analysis.reduce_spectrum(spec, poisson_errors=True)
         try:
             pt, _ = analysis.centroid_ke(red)
-            centroids.append({"detector": d, "K": pt.k, "E": pt.e})
+            centroids.append({"detector": d, "K": pt.k, "E": pt.e, "sigma_E": pt.sigma_e})
         except WmScatterError:
-            centroids.append({"detector": d, "K": None, "E": None})
+            centroids.append({"detector": d, "K": None, "E": None, "sigma_E": None})
     manifest = {
         "schema": 1,
         "seed": args.seed,
@@ -148,7 +150,7 @@ def cmd_simulate(args):
         "files": files,
         "preview_centroids": centroids,
     }
-    pts = [analysis.KEPoint(c["K"], c["E"]) for c in centroids
+    pts = [analysis.KEPoint(c["K"], c["E"], c["sigma_E"]) for c in centroids
            if c["K"] is not None]
     if len(pts) >= 4:
         fit = analysis.fit_roto_recoil(pts, m_free=sample.mass) \

@@ -1,9 +1,12 @@
 """One-dimensional momentum-space quantum states on uniform grids.
 
 States live on a shared uniform momentum axis P (units hbar/Angstrom) and are
-normalized so that sum |Xi(P_j)|^2 dP = 1 by the trapezoidal rule.  Gaussian
-states carry an analytic descriptor so momentum shifts can be evaluated
-exactly; tabulated states are shifted by band-limited (FFT) interpolation.
+normalized so that sum |Xi(P_j)|^2 dP = 1 by the trapezoidal rule.  Every
+integral (norms, overlaps, moments, weak-value numerators) is one pass of
+trapezoid_vdot: np.vdot over the grid plus the two endpoint corrections.
+Gaussian states carry an analytic descriptor so momentum shifts can be
+evaluated exactly; tabulated states are shifted by band-limited (FFT)
+interpolation.
 
 Everything here is immutable after construction and all operations are pure
 functions, so concurrent use from multiple threads is safe.
@@ -22,6 +25,7 @@ from .errors import (
     GridTooNarrow,
     NonPositiveSigma,
     NotNormalized,
+    ParseError,
 )
 
 # Gaussian grids keep at least this many nodes per (smallest) sigma so that
@@ -31,10 +35,9 @@ SPAN_SIGMAS = 10.0
 MIN_POINTS = 1024
 
 
-def trapezoid(values, dx):
-    """Trapezoidal sum of uniformly sampled values (complex-safe)."""
-    values = np.asarray(values)
-    return (values.sum() - 0.5 * (values[0] + values[-1])) * dx
+def trapezoid_vdot(a, b, dx):
+    """Trapezoidal <a|b> = integral of conj(a) * b over uniform samples."""
+    return (np.vdot(a, b) - 0.5 * (np.conj(a[0]) * b[0] + np.conj(a[-1]) * b[-1])) * dx
 
 
 @dataclass(frozen=True)
@@ -106,17 +109,16 @@ class WaveFunction:
     descriptor: GaussianTag | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.grid.n_points,):
             raise ValueError("amplitudes length must equal grid.n_points")
-        amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if self.descriptor is not None and self.descriptor.sigma <= 0:
             raise NonPositiveSigma("descriptor sigma must be positive")
 
     def norm_sq(self):
-        return float(np.real(trapezoid(np.abs(self.amplitudes) ** 2, self.grid.dp)))
+        return float(trapezoid_vdot(self.amplitudes, self.amplitudes, self.grid.dp).real)
 
     def tabulated(self):
         """Same amplitudes with the analytic descriptor dropped."""
@@ -149,12 +151,16 @@ class MixedState:
         return self.components[0][1].grid
 
 
-def normalize(state: WaveFunction) -> WaveFunction:
-    """Rescale so the trapezoidal norm is exactly 1."""
-    n = state.norm_sq()
+def _unit(values, dx):
+    n = float(trapezoid_vdot(values, values, dx).real)
     if n <= 0:
         raise NotNormalized("zero-norm state cannot be normalized")
-    return WaveFunction(state.grid, state.amplitudes / math.sqrt(n), state.descriptor)
+    return values / math.sqrt(n)
+
+
+def normalize(state: WaveFunction) -> WaveFunction:
+    """Rescale so the trapezoidal norm is exactly 1."""
+    return WaveFunction(state.grid, _unit(state.amplitudes, state.grid.dp), state.descriptor)
 
 
 def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunction:
@@ -169,9 +175,12 @@ def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunct
         raise GridTooNarrow(
             f"5-sigma window [{center - 5 * sigma}, {center + 5 * sigma}] "
             f"exceeds grid [{grid.p_min}, {grid.p_max}]")
-    env = np.exp(-((grid.points - center) ** 2) / (4.0 * sigma**2))
-    raw = WaveFunction(grid, env.astype(complex), GaussianTag(center, sigma))
-    return normalize(raw)
+    # exp(-x) is exactly 0.0 for x > 745.2, so evaluate it only inside +-half
+    half = 2.0 * sigma * math.sqrt(746.0)
+    lo, hi = np.searchsorted(grid.points, (center - half, center + half))
+    env = np.zeros(grid.n_points)
+    env[lo:hi] = np.exp(-((grid.points[lo:hi] - center) ** 2) / (4.0 * sigma**2))
+    return WaveFunction(grid, _unit(env, grid.dp), GaussianTag(center, sigma))
 
 
 def _require_same_grid(a, b):
@@ -182,7 +191,7 @@ def _require_same_grid(a, b):
 def inner_product(bra: WaveFunction, ket: WaveFunction) -> complex:
     """<bra|ket> by trapezoidal quadrature; conjugate-symmetric."""
     _require_same_grid(bra, ket)
-    return complex(trapezoid(np.conj(bra.amplitudes) * ket.amplitudes, bra.grid.dp))
+    return complex(trapezoid_vdot(bra.amplitudes, ket.amplitudes, bra.grid.dp))
 
 
 def expectation_p(state) -> float:
@@ -192,15 +201,15 @@ def expectation_p(state) -> float:
     dev = abs(state.norm_sq() - 1.0)
     if dev > 1e-6:
         raise NotNormalized(f"norm deviates from 1 by {dev:.3e}")
-    val = trapezoid(state.grid.points * np.abs(state.amplitudes) ** 2, state.grid.dp)
-    return float(np.real(val))
+    amps = state.amplitudes
+    return float(trapezoid_vdot(amps, state.grid.points * amps, state.grid.dp).real)
 
 
 def variance_p(state: WaveFunction) -> float:
     """Var(P) of a normalized state."""
     mean = expectation_p(state)
-    dev2 = (state.grid.points - mean) ** 2 * np.abs(state.amplitudes) ** 2
-    return float(np.real(trapezoid(dev2, state.grid.dp)))
+    dev = (state.grid.points - mean) * state.amplitudes
+    return float(trapezoid_vdot(dev, dev, state.grid.dp).real)
 
 
 def shift(state: WaveFunction, dp: float) -> WaveFunction:
@@ -248,21 +257,24 @@ def write_state_csv(state: WaveFunction, path):
 
 
 def read_state_csv(path) -> WaveFunction:
+    """Inverse of write_state_csv; a bad header or row raises ParseError."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
-        header = next(rd)
+        header = next(rd, [])
         if [h.strip() for h in header] != ["P", "re", "im"]:
-            raise ValueError(f"unexpected CSV header {header}")
-        p, re, im = [], [], []
-        for row in rd:
-            if not row:
-                continue
-            p.append(float(row[0]))
-            re.append(float(row[1]))
-            im.append(float(row[2]))
-    p = np.asarray(p)
+            raise ParseError(1, f"unexpected CSV header {header}")
+        rows = []
+        for row in filter(None, rd):   # blank lines are skipped
+            try:
+                vals = [float(v) for v in row]
+            except ValueError:
+                vals = [math.nan]
+            if len(vals) != 3 or not all(map(math.isfinite, vals)):
+                raise ParseError(rd.line_num, f"expected 3 finite numbers, got {row}")
+            rows.append(vals)
+    p, re, im = np.array(rows, dtype=float).reshape(-1, 3).T
     dp = np.diff(p)
     if len(p) < 8 or not np.allclose(dp, dp[0], rtol=1e-9, atol=0):
         raise ValueError("CSV grid is not uniform")
     grid = MomentumGrid(float(p[0]), float(p[-1]), len(p))
-    return WaveFunction(grid, np.asarray(re) + 1j * np.asarray(im))
+    return WaveFunction(grid, re + 1j * im)

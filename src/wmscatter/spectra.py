@@ -35,7 +35,7 @@ from .kinematics import (
     NeutronBeam,
     k_transfer,
 )
-from .qstate import MixedState, WaveFunction, expectation_p, trapezoid
+from .qstate import MixedState, WaveFunction, expectation_p
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def momentum_density(state) -> TabulatedDensity:
         for w, wf in state.components:
             dens += w * momentum_density(wf).n
         return TabulatedDensity(state.grid.points, dens)
-    total = float(np.real(trapezoid(np.abs(state.amplitudes) ** 2, state.grid.dp)))
+    total = state.norm_sq()
     if abs(total - 1.0) > 1e-6:
         raise NotNormalized(f"density integrates to {total!r}")
     n = np.abs(state.amplitudes) ** 2 / total

@@ -22,7 +22,7 @@ that closed form (and an independent brute-force sum) in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .qstate import (
     gaussian_state,
     grid_for_gaussians,
     inner_product,
-    trapezoid,
+    trapezoid_vdot,
 )
 
 EPS_OVERLAP_DEFAULT = 1e-8
@@ -107,9 +107,8 @@ def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
                 f"|<post|pre>| = {overlap_mag:.3e} < eps = {eps_overlap:.3e}")
         return WeakValueResult(complex(float("nan"), float("nan")),
                                overlap_mag, True)
-    a_vals = _observable_values(pre.grid.points, observable, hbar_k)
-    numer = trapezoid(np.conj(post.amplitudes) * a_vals * pre.amplitudes,
-                      pre.grid.dp)
+    a_post = _observable_values(pre.grid.points, observable, hbar_k) * post.amplitudes
+    numer = trapezoid_vdot(a_post, pre.amplitudes, pre.grid.dp)
     return WeakValueResult(complex(numer / denom), overlap_mag, False)
 
 
@@ -123,14 +122,12 @@ def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
 
     Reduces to weak_value() for a single component.
     """
-    a_vals = _observable_values(post.grid.points, observable, hbar_k)
+    a_post = _observable_values(post.grid.points, observable, hbar_k) * post.amplitudes
     numer = 0.0 + 0.0j
     denom = 0.0
     for w, psi in pre.components:
         ov = inner_product(post, psi)
-        num_i = trapezoid(np.conj(post.amplitudes) * a_vals * psi.amplitudes,
-                          post.grid.dp)
-        numer += w * num_i * np.conj(ov)
+        numer += w * trapezoid_vdot(a_post, psi.amplitudes, post.grid.dp) * np.conj(ov)
         denom += w * abs(ov) ** 2
     overlap_mag = math.sqrt(max(denom, 0.0) / post.norm_sq())
     if overlap_mag < eps_overlap:
@@ -224,7 +221,7 @@ def scenario_record(kind: str, sigma_i: float, hbar_k: float,
     """One JSON-ready record of a full scenario evaluation."""
     pre, post = scenario(kind, sigma_i, hbar_k, width_ratio)
     wv = weak_value(pre, post, "P")
-    coupling = weak_value(pre, post, "P_minus_hbarK", hbar_k=hbar_k)
+    coupling = replace(wv, value=wv.value - hbar_k)   # (P - hbarK)_w, by linearity
     deficit = hbar_k - wv.value.real
     model = CouplingModel(lam, hbar_k, sign)
     total = total_momentum_transfer(model, deficit)

@@ -69,6 +69,8 @@ def test_full_chain(h2_inputs, capsys):
     assert fit["seed"] == RUN_SEED
     assert fit["n_points"] == 5
     assert 0.55 < fit["M_eff"] < 0.7
+    # the simulate preview reduces and weights its centroids as reduce -> fit does
+    assert manifest["preview_fit"]["M_eff"] == fit["M_eff"]
 
     capsys.readouterr()
     run(["audit", "--instrument", inst, "--centroids", cen, "--free", "L1,theta",

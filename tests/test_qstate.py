@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from wmscatter.errors import GridMismatch, GridTooNarrow, NonPositiveSigma, NotNormalized
+from wmscatter.errors import (
+    GridMismatch,
+    GridTooNarrow,
+    NonPositiveSigma,
+    NotNormalized,
+    ParseError,
+)
 from wmscatter.qstate import (
     MixedState,
     MomentumGrid,
@@ -24,6 +30,26 @@ from wmscatter.qstate import (
 )
 
 GRID = MomentumGrid(-20.0, 20.0, 2048)
+
+
+def elementwise_trapezoid(values, dx):
+    """The trapezoidal rule written out elementwise: the reference the
+    one-pass quadrature is held to."""
+    return (values.sum() - 0.5 * (values[0] + values[-1])) * dx
+
+
+def complex_states():
+    """Complex states, none of them a plain Gaussian: a phased Gaussian, a
+    Gaussian with a linear phase ramp, and two tabulated non-Gaussian states
+    with random phases that do not vanish at the grid ends."""
+    rng = np.random.default_rng(7)
+    p = GRID.points
+    ramp = gaussian_state(GRID, 1.0, 0.8).amplitudes * np.exp(0.6j * p)
+    phases = np.exp(1j * rng.uniform(0.0, 6.0, p.size))
+    tabs = [(1.0 + 0.5 * np.sin(3.0 * p)) * np.exp(-np.abs(p) / 3.0) * phases,
+            (rng.normal(size=p.size) + 1j * rng.normal(size=p.size)) / (1.0 + p**2)]
+    return [with_global_phase(gaussian_state(GRID, -0.5, 1.3), 0.9),
+            WaveFunction(GRID, ramp), *(WaveFunction(GRID, t) for t in tabs)]
 
 
 def test_gaussian_moments_centered():
@@ -221,3 +247,33 @@ def test_state_csv_roundtrip(tmp_path):
     back = read_state_csv(path)
     assert back.grid == g.grid
     assert np.allclose(back.amplitudes, g.amplitudes, atol=0, rtol=0)
+
+
+def test_quadrature_matches_elementwise_trapezoid():
+    # complex, non-vanishing endpoints: catches a conjugate on the wrong side
+    # of <a|b> and a wrong endpoint correction
+    states = complex_states()
+    for a in states:
+        ref = elementwise_trapezoid(np.abs(a.amplitudes) ** 2, GRID.dp).real
+        assert a.norm_sq() == pytest.approx(ref, rel=1e-13)
+        for b in states:
+            got = inner_product(a, b)
+            ref = elementwise_trapezoid(np.conj(a.amplitudes) * b.amplitudes, GRID.dp)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("p,re,im\n0.0,1.0,0.0\n", 1),
+    ("", 1),
+    ("P,re,im\n0.0,1.0,0.0\n0.1,1.0\n", 3),
+    ("P,re,im\n0.0,1.0,0.0\n\n0.1,1.0,0.0,9\n", 4),
+    ("P,re,im\n0.0,1.0,0.0\n0.1,one,0.0\n", 3),
+    ("P,re,im\n0.0,1.0,0.0\n0.1,nan,0.0\n", 3),
+    ("P,re,im\n0.0,1.0,0.0\n0.1,1.0,-inf\n", 3),
+], ids=["header", "empty", "two-fields", "four-fields", "non-numeric", "nan", "inf"])
+def test_state_csv_rejects_malformed(tmp_path, text, line):
+    path = tmp_path / "state.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_state_csv(path)
+    assert err.value.line == line

@@ -27,6 +27,7 @@ from wmscatter.qstate import (
     with_global_phase,
 )
 from wmscatter.weakval import (
+    PLANE_WAVE_RATIO,
     CouplingModel,
     WeakValueResult,
     collision_time,
@@ -59,6 +60,11 @@ def brute_force_pw(sigma_i, sigma_f, hbar_k, n=400001, span=12.0, phase_slope=0.
 
 def closed_form_pw(sigma_i, sigma_f, hbar_k):
     return hbar_k * sigma_i**2 / (sigma_i**2 + sigma_f**2)
+
+
+def elementwise_trapezoid(values, dx):
+    """The trapezoidal rule written out elementwise."""
+    return (values.sum() - 0.5 * (values[0] + values[-1])) * dx
 
 
 GRID = grid_for_gaussians([0.0, 4.0], [1.0, 0.5])
@@ -311,3 +317,55 @@ def test_coupling_model_validation():
         CouplingModel(0.5, -1.0)
     with pytest.raises(ValueError):
         CouplingModel(0.5, 4.0, "times")
+
+
+def test_weak_values_match_elementwise_trapezoid():
+    # complex and tabulated (non-Gaussian) states that do not vanish at the
+    # grid ends, so a wrongly conjugated <post| or endpoint term shows
+    rng = np.random.default_rng(11)
+    p, dp = GRID.points, GRID.dp
+    pre_tab = WaveFunction(GRID, (1.0 + 0.4 * np.cos(2.0 * p)) * np.exp(0.3j * p - np.abs(p) / 2))
+    post_tab = WaveFunction(GRID, np.exp(1j * rng.uniform(0, 6, p.size) - np.abs(p - 4.0) / 1.5))
+    post_phased = with_global_phase(gaussian_state(GRID, 4.0, 0.5), 0.7)
+    pairs = [(gaussian_state(GRID, 0.0, 1.0), post_phased), (pre_tab, post_tab),
+             (pre_tab, post_phased)]
+    for pre, post in pairs:
+        for observable, hbar_k in (("P", 0.0), ("P_minus_hbarK", 4.0)):
+            bra = np.conj(post.amplitudes)
+            ref = elementwise_trapezoid(bra * (p - hbar_k) * pre.amplitudes, dp) \
+                / elementwise_trapezoid(bra * pre.amplitudes, dp)
+            got = weak_value(pre, post, observable, hbar_k=hbar_k).value
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+    num = den = 0.0
+    for w, psi in ((0.3, pairs[0][0]), (0.7, pre_tab)):
+        ov = elementwise_trapezoid(np.conj(post_tab.amplitudes) * psi.amplitudes, dp)
+        num += w * elementwise_trapezoid(np.conj(post_tab.amplitudes) * p * psi.amplitudes, dp) \
+            * np.conj(ov)
+        den += w * abs(ov) ** 2
+    mix = MixedState(((0.3, pairs[0][0]), (0.7, pre_tab)))
+    got = weak_value_mixed(mix, post_tab, "P").value
+    assert abs(got - num / den) <= 1e-13 * abs(num / den)
+
+
+@pytest.mark.parametrize("hbar_k", [0.5, 4.0])
+def test_case_a_post_state_zero_where_exp_underflows(hbar_k):
+    _, post = scenario("A", 1.0, hbar_k)
+    sigma_f = PLANE_WAVE_RATIO * 1.0
+    env = np.exp(-((post.grid.points - hbar_k) ** 2) / (4.0 * sigma_f**2))
+    assert np.count_nonzero(env) < post.grid.n_points // 100
+    assert np.array_equal(post.amplitudes == 0, env == 0)
+    ref = env / math.sqrt(elementwise_trapezoid(env**2, post.grid.dp))
+    np.testing.assert_allclose(post.amplitudes.real, ref, rtol=1e-13, atol=1e-300)
+    assert not post.amplitudes.imag.any()
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+@pytest.mark.parametrize("hbar_k", [0.5, 2.0, 4.0])
+def test_scenario_record_closed_form(case, hbar_k):
+    lam = 0.3
+    rec = scenario_record(case, 1.0, hbar_k, width_ratio=0.5, lam=lam)
+    sigma_f = {"A": PLANE_WAVE_RATIO, "B": 0.5, "C": 1.0}[case]
+    assert rec["P_w_re"] == pytest.approx(closed_form_pw(1.0, sigma_f, hbar_k), rel=1e-12)
+    assert abs(rec["P_w_im"]) <= 1e-12 * hbar_k
+    assert rec["deficit"] == hbar_k - rec["P_w_re"]
+    assert rec["pointer_shift"] == -lam * (rec["P_w_re"] - hbar_k)
