@@ -31,7 +31,14 @@ from .errors import (
     Underdetermined,
 )
 from .kinematics import KEPoint, effective_mass_bound_check
-from .spectra import InstrumentConfig, Spectrum, TofBinning, _trajectory_arrays
+from .spectra import (
+    SPECTRUM_COLUMNS,
+    InstrumentConfig,
+    Spectrum,
+    _trajectory_arrays,
+    instrument_from_dict,
+)
+from .tablefile import read_table
 
 # Levenberg-Marquardt limits: function evaluations, and the relative tolerance
 # (MINPACK's default ftol/xtol) on the cost drop still available to a
@@ -324,28 +331,21 @@ class ReducedDetector:
     factor: np.ndarray | None = None
 
 
-def _config_from_metadata(meta: dict) -> InstrumentConfig:
-    from .kinematics import DetectorGeometry, NeutronBeam
-
-    beam = NeutronBeam(float(meta["beam"]["E0"]))
-    g = meta["detector"]
-    det = DetectorGeometry(float(g["L0"]), float(g["L1"]),
-                           float(g["theta"]), float(g.get("t0", 0.0)))
-    tb = meta["tof_bins"]
-    bins = TofBinning(float(tb["t_min"]), float(tb["t_max"]), int(tb["n_bins"]))
-    return InstrumentConfig(beam, (det,), bins)
-
-
 def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
                     det_index: int | None = None,
                     poisson_errors: bool = False) -> ReducedDetector:
     """Map a TOF spectrum to (K, E) and divide out the instrument factors.
 
     Without an explicit cfg the single-detector geometry embedded in the
-    spectrum metadata is used.
+    spectrum metadata is used; MissingMetadata names the keys it lacks.
     """
     if cfg is None:
-        cfg = _config_from_metadata(spec.metadata)
+        meta = spec.metadata
+        missing = [k for k in ("beam", "detector", "tof_bins") if k not in meta]
+        if missing:
+            raise MissingMetadata(
+                f"spectrum metadata lacks {', '.join(missing)}; pass an instrument config")
+        cfg = instrument_from_dict({**meta, "detectors": [meta["detector"]]})
         det_index = 0
     elif det_index is None:
         det_index = spec.detector_index
@@ -525,63 +525,43 @@ def report_text(report: CalibrationReport) -> str:
 # --- file ingestion ---------------------------------------------------------------
 
 def ingest_spectrum(path, strict: bool = True) -> Spectrum:
-    """Read a spectrum CSV written by spectra.write_spectrum_csv.
+    """Read a spectrum file written by spectra.write_spectrum_csv.
 
     The first line must be a '#'-prefixed JSON metadata record; with
     strict=False a missing header only warns and default metadata is attached.
-    Malformed rows raise ParseError with their 1-based line number.
+    Malformed rows, non-finite values and negative counts raise ParseError
+    with their 1-based line number.
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ParseError(1, "empty file")
-    meta = None
-    body_start = 0
-    if lines[0].lstrip().startswith("#"):
-        try:
-            meta = json.loads(lines[0].lstrip()[1:])
-        except json.JSONDecodeError as exc:
-            raise ParseError(1, f"bad metadata JSON: {exc}") from None
-        body_start = 1
-    elif strict:
-        raise MissingMetadata(f"{path}: no '#' JSON metadata header")
-    else:
+    meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault, strict)
+    if meta is None:
         warnings.warn(f"{path}: missing metadata header; assuming default "
                       "instrument context", stacklevel=2)
         meta = {"schema": 1, "seed": None, "detector_index": 0,
                 "default_instrument": True}
-    if body_start >= len(lines) or lines[body_start].strip() != "tof_us,counts":
-        raise ParseError(body_start + 1, "expected header 'tof_us,counts'")
-    t, c = [], []
-    for i, line in enumerate(lines[body_start + 1:], start=body_start + 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(i, f"expected 2 fields, got {len(parts)}")
-        try:
-            tv, cv = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(i, f"non-numeric row {line!r}") from None
-        if not (math.isfinite(tv) and math.isfinite(cv)):
-            raise ParseError(i, f"non-finite value in row {line!r}")
-        if cv < 0:
-            raise ParseError(i, f"negative counts {cv}")
-        t.append(tv)
-        c.append(cv)
-    if len(t) < 2:
-        raise ParseError(len(lines), "need at least 2 data rows")
-    t = np.asarray(t)
-    tb = meta.get("tof_bins") if meta else None
+    c = np.ascontiguousarray(data[:, 1])
+    tb = meta.get("tof_bins")
     if tb and int(tb["n_bins"]) != len(c):
-        raise ParseError(len(lines),
+        raise ParseError(n_lines,
                          f"metadata says {tb['n_bins']} bins, file has {len(c)}")
     if tb:
         edges = np.linspace(float(tb["t_min"]), float(tb["t_max"]), len(c) + 1)
     else:
+        t = data[:, 0]
         half = 0.5 * (t[1] - t[0])
         edges = np.concatenate([t - half, [t[-1] + half]])
-    return Spectrum(int(meta.get("detector_index", 0)), edges, np.asarray(c), meta)
+    return Spectrum(int(meta.get("detector_index", 0)), edges, c, meta)
+
+
+def _spectrum_fault(data, row_text):
+    """First row with a non-finite value or negative counts, as (row, message)."""
+    finite = np.isfinite(data).all(axis=1)
+    bad = ~finite | (data[:, 1] < 0)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not finite[i]:
+        return i, f"non-finite value in row {row_text(i)!r}"
+    return i, f"negative counts {float(data[i, 1])}"
 
 
 # --- centroid table I/O (CSV with '#' JSON metadata, used by the CLI) ------------

@@ -17,7 +17,9 @@ import os
 import sys
 from dataclasses import replace
 
-from . import analysis, spectra, svgplot, weakval
+import numpy as np
+
+from . import analysis, spectra, svgplot, tablefile, weakval
 from .errors import (
     MissingMetadata,
     OrthogonalSelection,
@@ -207,31 +209,21 @@ def cmd_reduce(args):
     return 0
 
 
+KE_COLUMNS = ("tof_us", "K", "E", "intensity")
+
+
 def _write_ke_csv(red, meta, path):
     keep = {k: meta[k] for k in ("schema", "seed", "run_seed", "detector_index",
                                  "beam", "detector", "tof_bins", "sample")
             if k in meta}
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(keep, sort_keys=True) + "\n")
-        fh.write("tof_us,K,E,intensity\n")
-        for t, k, e, i in zip(red.t, red.k, red.e, red.intensity):
-            fh.write(f"{float(t)!r},{float(k)!r},{float(e)!r},{float(i)!r}\n")
+    tablefile.write_table(path, keep, KE_COLUMNS, (red.t, red.k, red.e, red.intensity))
 
 
 def _read_ke_csv(path):
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].lstrip().startswith("#"):
-        raise MissingMetadata(f"{path}: no metadata header")
-    rows = []
-    for i, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(i, f"expected 4 fields, got {len(parts)}")
-        rows.append(tuple(float(v) for v in parts[1:]))
-    return rows
+    """(K, E, intensity) rows of a K-E file; bins before the incident flight
+    time hold nan K and E."""
+    _, data, _ = tablefile.read_table(path, KE_COLUMNS)
+    return data[:, 1:]
 
 
 def cmd_fit(args):
@@ -283,9 +275,8 @@ def cmd_audit(args):
 
 
 def cmd_plot(args):
-    points = []
-    for path in _expand_inputs(args.input, "ke_det*.csv"):
-        points.extend(_read_ke_csv(path))
+    points = np.concatenate([_read_ke_csv(path)
+                             for path in _expand_inputs(args.input, "ke_det*.csv")])
     centroids = None
     if args.centroids:
         _, recs = analysis.read_centroids_csv(args.centroids)

@@ -102,4 +102,5 @@ class ParseError(WmScatterError):
 
 
 class MissingMetadata(WmScatterError):
-    """Spectrum file lacks the '#' JSON metadata header."""
+    """A file lacks its '#' JSON metadata header, or a spectrum's metadata
+    lacks the instrument keys needed to reduce it."""

@@ -36,6 +36,7 @@ from .kinematics import (
     k_transfer,
 )
 from .qstate import MixedState, WaveFunction, expectation_p
+from .tablefile import write_table
 
 
 @dataclass(frozen=True)
@@ -195,21 +196,9 @@ def detector_trajectory(cfg: InstrumentConfig, det_index: int):
     where the TOF is unphysical) and a boolean mask flagging usable bins.
     Unphysical bins are flagged, never silently dropped.
     """
-    geom = cfg.detectors[det_index]
-    beam = cfg.beam
-    t = cfg.tof_bins.centers
-    remain = (t - geom.t0) * C.US_S - geom.l0 / beam.v0   # seconds over L1
-    valid = remain > 0
-    points = []
-    for ti, ri, ok in zip(t, remain, valid):
-        if not ok:
-            points.append(KEPoint(0.0, float("nan")))
-            continue
-        v1 = geom.l1 / ri
-        k1 = C.wavenumber_from_speed(v1)
-        e = C.NEUTRON_E_COEF * (beam.k0**2 - k1**2)
-        kk = k_transfer(beam.k0, k1, geom.theta)
-        points.append(KEPoint(kk, e))
+    _, valid, _, _, e, kk, _ = _trajectory_arrays(cfg, det_index)
+    points = [KEPoint(k, en) if ok else KEPoint(0.0, float("nan"))
+              for k, en, ok in zip(kk.tolist(), e.tolist(), valid.tolist())]
     return points, valid
 
 
@@ -459,7 +448,10 @@ def load_sample_json(path) -> SampleModel:
         return sample_from_dict(json.load(fh))
 
 
-# --- spectrum CSV format: '#' JSON metadata line, then tof_us,counts rows ----
+# --- spectrum files: tablefile tables with columns tof_us,counts ---------------
+
+SPECTRUM_COLUMNS = ("tof_us", "counts")
+
 
 def write_spectrum_csv(spec: Spectrum, path):
     meta = dict(spec.metadata)
@@ -469,8 +461,4 @@ def write_spectrum_csv(spec: Spectrum, path):
         "t_max": float(spec.bin_edges[-1]),
         "n_bins": len(spec.counts),
     })
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write("tof_us,counts\n")
-        for t, c in zip(spec.bin_centers, spec.counts):
-            fh.write(f"{float(t)!r},{float(c)!r}\n")
+    write_table(path, meta, SPECTRUM_COLUMNS, (spec.bin_centers, spec.counts))

@@ -11,6 +11,8 @@ from . import constants as C
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 56
+RIBBON_CIRCLE = ('<circle cx="{:.2f}" cy="{:.2f}" r="2.4" fill="steelblue" '
+                 'fill-opacity="{:.3f}"/>')
 
 
 class _Axes:
@@ -48,22 +50,41 @@ def _ticks(lo, hi, n=6):
     return vals
 
 
+def _ribbon(points):
+    """Axes fitted to the finite (K, E, intensity) rows and their circles.
+
+    The opacity and the mapping to the page take the same arithmetic, in the
+    same order, as one point at a time would, so the text is the same.  The
+    arrays die on return, before the caller joins the document.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        pts = pts[finite]
+    if not len(pts):
+        raise ValueError("no finite points to plot")
+    ks, es, inten = pts.T
+    imax = inten.max() or 1.0
+    kpad = 0.05 * (ks.max() - ks.min() or 1.0)
+    epad = 0.05 * (es.max() - es.min() or 1.0)
+    ax = _Axes((ks.min() - kpad, ks.max() + kpad), (es.min() - epad, es.max() + epad))
+    a = inten / imax
+    np.minimum(a, 1.0, out=a)
+    np.maximum(a, 0.0, out=a)
+    shown = a > 0
+    return ax, list(map(RIBBON_CIRCLE.format, ax.x(ks[shown]).tolist(),
+                        ax.y(es[shown]).tolist(), a[shown].tolist()))
+
+
 def ribbon_svg(points, m_conventional=None, m_fitted=None, e_rot_fitted=0.0,
                centroids=None, title="S(K,E) ribbon"):
     """SVG document for (K, E, intensity) scatter data with parabola overlays.
 
-    points: iterable of (K, E, intensity); centroids: optional (K, E) pairs
-    drawn as filled circles.
+    points: (K, E, intensity) rows, as an (n, 3) array or a sequence of
+    triples; rows with a non-finite value are not drawn.  centroids: optional
+    (K, E) pairs drawn as filled circles.
     """
-    pts = [(k, e, i) for k, e, i in points if np.isfinite(e)]
-    if not pts:
-        raise ValueError("no finite points to plot")
-    ks = [p[0] for p in pts]
-    es = [p[1] for p in pts]
-    imax = max(p[2] for p in pts) or 1.0
-    kpad = 0.05 * (max(ks) - min(ks) or 1.0)
-    epad = 0.05 * (max(es) - min(es) or 1.0)
-    ax = _Axes((min(ks) - kpad, max(ks) + kpad), (min(es) - epad, max(es) + epad))
+    ax, circles = _ribbon(points)
     el = ['<?xml version="1.0" encoding="UTF-8"?>',
           f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
           f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -90,13 +111,7 @@ def ribbon_svg(points, m_conventional=None, m_fitted=None, e_rot_fitted=0.0,
     el.append(f'<text x="16" y="{HEIGHT / 2:.0f}" text-anchor="middle" '
               f'font-family="sans-serif" font-size="13" '
               f'transform="rotate(-90 16 {HEIGHT / 2:.0f})">E (meV)</text>')
-    # intensity ribbon
-    for k, e, inten in pts:
-        a = max(min(inten / imax, 1.0), 0.0)
-        if a <= 0:
-            continue
-        el.append(f'<circle cx="{ax.x(k):.2f}" cy="{ax.y(e):.2f}" r="2.4" '
-                  f'fill="steelblue" fill-opacity="{a:.3f}"/>')
+    el.extend(circles)   # intensity ribbon
     if m_conventional:
         el.append(f'<polyline points="{_parabola_path(ax, m_conventional)}" '
                   'fill="none" stroke="crimson" stroke-width="1.6" '

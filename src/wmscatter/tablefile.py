@@ -1,0 +1,144 @@
+"""The package's table file format, written and read on whole columns.
+
+A table file is a '#'-prefixed JSON metadata line, a line of comma-separated
+column names, then one row of comma-separated floats per line:
+
+    # {"detector_index": 0, "schema": 1, ...}
+    tof_us,counts
+    3012.3456789012345,17.0
+    ...
+
+Spectra (tof_us,counts) and reduced K-E tables (tof_us,K,E,intensity) use it.
+Values are written with repr, the shortest text that reads back as the same
+double, so a round trip through a file is exact.
+
+Writing is bound by repr of 17-digit floats.  The first column is the TOF
+axis, which every detector on one binning shares, so its text is memoised on
+the exact bytes of the column, for at most AXIS_MEMO_SIZE axes.  The memo
+relies on repr being a function of the double alone: equal bytes give equal
+text, so a file written from the memo is byte-identical to one written afresh.
+
+Reading parses the body with numpy's C parser; comments=None, so a data row
+starting with '#' is an error, not skipped.  Only when that parser rejects the
+body are the rows parsed one at a time, with float(), to find the first bad
+row.  That pass also accepts what float() accepts and the C parser does not
+(a whitespace-only line, which counts as blank, or '1_0'), so the two passes
+agree on which files are valid.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+
+import numpy as np
+
+from .errors import MissingMetadata, ParseError
+
+AXIS_MEMO_SIZE = 8
+
+
+def write_table(path, meta: dict, names, columns):
+    """Write meta, the column names and the rows of equal-length columns.
+
+    columns[0] is the axis column whose text is memoised.
+    """
+    axis = _axis_text(np.ascontiguousarray(columns[0], dtype=float).tobytes())
+    rest = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns[1:]]
+    body = "\n".join(map(",".join, zip(axis, *rest)))
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(",".join(names) + "\n")
+        if body:
+            fh.write(body)
+            fh.write("\n")
+
+
+@functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
+def _axis_text(raw: bytes) -> tuple:
+    return tuple(map(repr, np.frombuffer(raw).tolist()))
+
+
+def read_table(path, names, check=None, strict: bool = True):
+    """Read a table file whose column header is names.
+
+    Returns (meta, data, n_lines): the metadata dict (None for a file without
+    the '#' line when strict is False), the rows as a (rows, len(names)) float
+    array, and the file's line count, the line whole-file errors refer to.
+    Blank lines are skipped.  check(data, row_text) may reject a row by
+    returning (row index, message); row_text(i) is the text of row i.  Every
+    rejection is a ParseError at the 1-based line of the first bad row.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError(1, "empty file")
+    meta = None
+    start = 0
+    if lines[0].lstrip().startswith("#"):
+        try:
+            meta = json.loads(lines[0].lstrip()[1:])
+        except json.JSONDecodeError as exc:
+            raise ParseError(1, f"bad metadata JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise ParseError(1, "metadata JSON is not an object")
+        start = 1
+    elif strict:
+        raise MissingMetadata(f"{path}: no '#' JSON metadata header")
+    header = ",".join(names)
+    if start >= len(lines) or lines[start].strip() != header:
+        raise ParseError(start + 1, f"expected header '{header}'")
+    body = lines[start + 1:]
+    first = start + 2   # line number of body[0]
+    data = _parse_columns(body, len(names))
+    fault = None
+    if data is None:
+        data, fault = _parse_rows(_data_rows(body, first), len(names))
+    if check is not None:
+        found = check(data, lambda i: _data_rows(body, first)[i][1])
+        if found is not None:
+            raise ParseError(_data_rows(body, first)[found[0]][0], found[1])
+    if fault is not None:
+        raise ParseError(*fault)
+    if len(data) < 2:
+        raise ParseError(len(lines), "need at least 2 data rows")
+    return meta, data, len(lines)
+
+
+def _parse_columns(body, n_cols):
+    """All rows by numpy's C parser, or None where it rejects them.  Bodies
+    with under two non-empty lines go to _parse_rows, which reports them
+    without the C parser's empty-input warning."""
+    if len(body) - body.count("") < 2:
+        return None
+    try:
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape[1] == n_cols else None
+
+
+def _data_rows(body, first):
+    """(line number, text) of each non-blank body line."""
+    return [(i, line) for i, line in enumerate(body, start=first) if line.strip()]
+
+
+def _parse_rows(rows, n_cols):
+    """Rows parsed one at a time up to the first malformed one.
+
+    Returns (data, fault): the rows before the fault, and (line, message) for
+    the malformed row or None.
+    """
+    values = []
+    fault = None
+    for i, line in rows:
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            fault = (i, f"expected {n_cols} fields, got {len(parts)}")
+            break
+        try:
+            values.append([float(p) for p in parts])
+        except ValueError:
+            fault = (i, f"non-numeric row {line!r}")
+            break
+    return np.array(values, dtype=float).reshape(-1, n_cols), fault

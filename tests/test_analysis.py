@@ -324,6 +324,48 @@ def test_ingest_rejects_non_finite_values(tmp_path, row):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("body, line, message", [
+    ("100.0,5\n\n101.0,-2\n", 5, "negative counts -2.0"),
+    ("100.0,5\n   \n101.0,nan\n", 5, "non-finite value in row '101.0,nan'"),
+    ("100.0,5\n#101.0,5\n102.0,5\n", 4, "non-numeric row '#101.0,5'"),
+    ("100.0,5\n101.0,inf\nnot,a,row\n", 4, "non-finite value in row '101.0,inf'"),
+    ("100.0,5\n101.0,x\n102.0,-1\n", 4, "non-numeric row '101.0,x'"),
+    ("100.0,5\n\n101.0,5,6\n", 5, "expected 2 fields, got 3"),
+    ("", 2, "need at least 2 data rows"),
+    ("100.0,5\n", 3, "need at least 2 data rows"),
+    ("100.0,5\n\n\n", 5, "need at least 2 data rows"),
+], ids=["blank-line", "whitespace-line", "hash-row", "first-fault-wins",
+        "malformed-first", "fields-after-blank", "no-rows", "one-row",
+        "one-row-blank-tail"])
+def test_ingest_reports_line_of_first_bad_row(tmp_path, body, line, message):
+    p = tmp_path / "bad.csv"
+    p.write_text('# {"schema": 1, "detector_index": 0}\ntof_us,counts\n' + body)
+    with pytest.raises(ParseError) as err:
+        an.ingest_spectrum(p)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_ingest_skips_blank_lines(tmp_path):
+    p = tmp_path / "blank.csv"
+    p.write_text('# {"schema": 1, "detector_index": 2}\ntof_us,counts\n'
+                 "100.0,5\n\n  \n101.0,6\n102.0,7\n\n")
+    spec = an.ingest_spectrum(p)
+    assert spec.detector_index == 2
+    assert spec.counts.tolist() == [5.0, 6.0, 7.0]
+
+
+def test_reduce_without_instrument_metadata_names_missing_keys(tmp_path):
+    p = tmp_path / "plain.csv"
+    p.write_text("tof_us,counts\n100.0,5\n101.0,6\n102.0,7\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = an.ingest_spectrum(p, strict=False)
+    with pytest.raises(MissingMetadata) as err:
+        an.reduce_spectrum(spec)
+    assert all(k in str(err.value) for k in ("beam", "detector", "tof_bins"))
+
+
 def test_ingest_rejects_malformed_row(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text('# {"schema": 1}\ntof_us,counts\n100.0,5\nnot,a,row\n')

@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from wmscatter import analysis, cli, spectra
+from wmscatter.errors import ParseError
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam
 
 M_FREE, E_ROT, M_EFF, SIGMA_P = 2.01, 14.7, 0.64, 0.3
@@ -98,6 +99,20 @@ def test_reduce_falls_back_to_cli_seed(h2_inputs, tmp_path):
     run(["reduce", "--input", tmp_path, "--seed", 5, "--out", tmp_path / "red"])
     meta, _ = analysis.read_centroids_csv(tmp_path / "red" / "centroids.csv")
     assert meta["seed"] == 5
+
+
+def test_ke_file_needs_its_column_header(h2_inputs, tmp_path):
+    tmp, inst, sample = h2_inputs
+    run(["simulate", "--instrument", inst, "--sample", sample, "--out", tmp / "sim"])
+    run(["reduce", "--input", tmp / "sim", "--out", tmp / "red"])
+    path = tmp / "red" / "ke_det000.csv"
+    assert len(cli._read_ke_csv(path)) == 512
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text(lines[0] + "tof_us,K,E,counts\n" + "".join(lines[2:]))
+    with pytest.raises(ParseError) as err:
+        cli._read_ke_csv(path)
+    assert err.value.line == 2
+    assert cli.main(["plot", "--input", str(path), "--out", str(tmp / "r.svg")]) == 2
 
 
 def test_cli_import_leaves_out_scipy():
