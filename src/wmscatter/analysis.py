@@ -212,7 +212,11 @@ def _moments(e, y):
 
 
 def _auto_window(e, y):
-    """Coarse moments over everything, +-3 widths, iterated once."""
+    """Coarse moments over every bin with a finite energy, +-3 widths,
+    iterated once."""
+    fin = np.isfinite(e)
+    if not fin.all():   # bins before the incident flight time have no energy
+        e, y = e[fin], y[fin]
     c, w = _moments(e, y)
     for _ in range(2):
         mask = (e >= c - 3.0 * w) & (e <= c + 3.0 * w)
@@ -401,7 +405,8 @@ def centroid_ke(red: ReducedDetector, window=None) -> tuple:
                 fit = replace(fit, centroid_err=float(math.sqrt(abs(cov[1, 1]))))
             except np.linalg.LinAlgError:
                 pass
-    k_at = float(np.interp(fit.centroid, red.e, red.k))
+    fin = np.isfinite(red.e)
+    k_at = float(np.interp(fit.centroid, red.e[fin], red.k[fin]))
     sigma = fit.centroid_err if (fit.centroid_err and fit.centroid_err > 0) else None
     return KEPoint(k_at, fit.centroid, sigma), fit
 

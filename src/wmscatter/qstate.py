@@ -8,6 +8,11 @@ Gaussian states carry an analytic descriptor so momentum shifts can be
 evaluated exactly; tabulated states are shifted by band-limited (FFT)
 interpolation.
 
+The descriptor is trusted, as shift() trusts it: a tagged state is taken to
+be exactly zero outside the index window where its Gaussian underflows to
+0.0 (WaveFunction.support()), so integrals with it as the bra may run over
+that window alone.
+
 Everything here is immutable after construction and all operations are pure
 functions, so concurrent use from multiple threads is safe.
 """
@@ -16,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -35,9 +40,16 @@ SPAN_SIGMAS = 10.0
 MIN_POINTS = 1024
 
 
-def trapezoid_vdot(a, b, dx):
-    """Trapezoidal <a|b> = integral of conj(a) * b over uniform samples."""
-    return (np.vdot(a, b) - 0.5 * (np.conj(a[0]) * b[0] + np.conj(a[-1]) * b[-1])) * dx
+def trapezoid_vdot(a, b, dx, ends=(True, True)):
+    """Trapezoidal <a|b> = integral of conj(a) * b over uniform samples.
+
+    a and b may hold only a window of the grid's samples outside which a is
+    zero; ends then tells whether the window's first and last samples are
+    grid nodes 0 and n-1, the only nodes with the half-weight correction.
+    """
+    head = np.conj(a[0]) * b[0] if ends[0] else 0.0
+    tail = np.conj(a[-1]) * b[-1] if ends[1] else 0.0
+    return (np.vdot(a, b) - 0.5 * (head + tail)) * dx
 
 
 @dataclass(frozen=True)
@@ -96,20 +108,35 @@ class GaussianTag:
     sigma: float
 
 
+def _gaussian_support(grid: MomentumGrid, center: float, sigma: float):
+    """Index window [lo, hi) of grid outside which the Gaussian state of this
+    center and sigma is exactly 0.0.
+
+    exp(-x) is 0.0 for x > 745.2, and the window's edges sit where
+    (P - center)^2 / (4 sigma^2) = 746; two binary searches, no scan.
+    """
+    half = 2.0 * sigma * math.sqrt(746.0)
+    pts = grid.points
+    return int(pts.searchsorted(center - half)), int(pts.searchsorted(center + half))
+
+
 @dataclass(frozen=True)
 class WaveFunction:
     """Complex momentum-space amplitudes on a MomentumGrid.
 
     When ``descriptor`` is set the amplitudes are exactly a normalized
-    Gaussian and shift() re-evaluates instead of interpolating.
+    Gaussian and shift() re-evaluates instead of interpolating.  The
+    amplitudes are a read-only copy of the array passed in; only this
+    module passes _built=True, for a fresh complex array it made itself.
     """
 
     grid: MomentumGrid
     amplitudes: np.ndarray
     descriptor: GaussianTag | None = None
+    _built: InitVar[bool] = False
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
+    def __post_init__(self, _built):
+        amps = self.amplitudes if _built else np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.grid.n_points,):
             raise ValueError("amplitudes length must equal grid.n_points")
         amps.setflags(write=False)
@@ -120,9 +147,17 @@ class WaveFunction:
     def norm_sq(self):
         return float(trapezoid_vdot(self.amplitudes, self.amplitudes, self.grid.dp).real)
 
+    def support(self):
+        """Index window [lo, hi) outside which the amplitudes are exactly zero:
+        _gaussian_support() of the descriptor, or the whole grid without one."""
+        tag = self.descriptor
+        if tag is None:
+            return 0, self.grid.n_points
+        return _gaussian_support(self.grid, tag.center, tag.sigma)
+
     def tabulated(self):
         """Same amplitudes with the analytic descriptor dropped."""
-        return WaveFunction(self.grid, self.amplitudes, descriptor=None)
+        return WaveFunction(self.grid, self.amplitudes, None, _built=True)
 
 
 @dataclass(frozen=True)
@@ -151,16 +186,17 @@ class MixedState:
         return self.components[0][1].grid
 
 
-def _unit(values, dx):
+def _norm(values, dx):
     n = float(trapezoid_vdot(values, values, dx).real)
     if n <= 0:
         raise NotNormalized("zero-norm state cannot be normalized")
-    return values / math.sqrt(n)
+    return math.sqrt(n)
 
 
 def normalize(state: WaveFunction) -> WaveFunction:
     """Rescale so the trapezoidal norm is exactly 1."""
-    return WaveFunction(state.grid, _unit(state.amplitudes, state.grid.dp), state.descriptor)
+    amps = state.amplitudes / _norm(state.amplitudes, state.grid.dp)
+    return WaveFunction(state.grid, amps, state.descriptor, _built=True)
 
 
 def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunction:
@@ -175,12 +211,20 @@ def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunct
         raise GridTooNarrow(
             f"5-sigma window [{center - 5 * sigma}, {center + 5 * sigma}] "
             f"exceeds grid [{grid.p_min}, {grid.p_max}]")
-    # exp(-x) is exactly 0.0 for x > 745.2, so evaluate it only inside +-half
-    half = 2.0 * sigma * math.sqrt(746.0)
-    lo, hi = np.searchsorted(grid.points, (center - half, center + half))
+    # exp is evaluated on the support only, in place: -((P - center)^2) / (4 sigma^2)
+    lo, hi = _gaussian_support(grid, center, sigma)
     env = np.zeros(grid.n_points)
-    env[lo:hi] = np.exp(-((grid.points[lo:hi] - center) ** 2) / (4.0 * sigma**2))
-    return WaveFunction(grid, _unit(env, grid.dp), GaussianTag(center, sigma))
+    seg = env[lo:hi]
+    np.subtract(grid.points[lo:hi], center, out=seg)
+    np.square(seg, out=seg)
+    np.negative(seg, out=seg)
+    np.divide(seg, 4.0 * sigma**2, out=seg)
+    np.exp(seg, out=seg)
+    # normalised by the dot product over the whole contiguous buffer: one over
+    # the support alone can differ in the last bit
+    amps = np.zeros(grid.n_points, dtype=complex)
+    np.divide(seg, _norm(env, grid.dp), out=amps.real[lo:hi])
+    return WaveFunction(grid, amps, GaussianTag(center, sigma), _built=True)
 
 
 def _require_same_grid(a, b):
@@ -230,7 +274,7 @@ def shift(state: WaveFunction, dp: float) -> WaveFunction:
     n = state.grid.n_points
     freqs = np.fft.fftfreq(n, d=state.grid.dp)
     shifted = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * dp))
-    return WaveFunction(state.grid, shifted, descriptor=None)
+    return WaveFunction(state.grid, shifted, None, _built=True)
 
 
 def apply_impulse(neutron: WaveFunction, atom: WaveFunction, hbar_k: float):
@@ -243,7 +287,7 @@ def apply_impulse(neutron: WaveFunction, atom: WaveFunction, hbar_k: float):
 
 def with_global_phase(state: WaveFunction, chi: float) -> WaveFunction:
     """Multiply the amplitudes by exp(i chi) (drops the analytic tag)."""
-    return WaveFunction(state.grid, state.amplitudes * np.exp(1j * chi), None)
+    return WaveFunction(state.grid, state.amplitudes * np.exp(1j * chi), None, _built=True)
 
 
 # --- CSV serialization: header "P,re,im", one row per node -------------------
@@ -257,13 +301,17 @@ def write_state_csv(state: WaveFunction, path):
 
 
 def read_state_csv(path) -> WaveFunction:
-    """Inverse of write_state_csv; a bad header or row raises ParseError."""
+    """Inverse of write_state_csv.
+
+    A bad header or row, fewer than 8 rows, or a P column that is not a
+    uniform increasing grid raises ParseError with the 1-based line.
+    """
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         header = next(rd, [])
         if [h.strip() for h in header] != ["P", "re", "im"]:
             raise ParseError(1, f"unexpected CSV header {header}")
-        rows = []
+        rows, lines = [], []
         for row in filter(None, rd):   # blank lines are skipped
             try:
                 vals = [float(v) for v in row]
@@ -272,9 +320,13 @@ def read_state_csv(path) -> WaveFunction:
             if len(vals) != 3 or not all(map(math.isfinite, vals)):
                 raise ParseError(rd.line_num, f"expected 3 finite numbers, got {row}")
             rows.append(vals)
-    p, re, im = np.array(rows, dtype=float).reshape(-1, 3).T
+            lines.append(rd.line_num)
+    if len(rows) < 8:
+        raise ParseError(rd.line_num, f"need at least 8 grid rows, got {len(rows)}")
+    p, re, im = np.array(rows).T
     dp = np.diff(p)
-    if len(p) < 8 or not np.allclose(dp, dp[0], rtol=1e-9, atol=0):
-        raise ValueError("CSV grid is not uniform")
+    bad = np.flatnonzero((dp <= 0) | ~np.isclose(dp, dp[0], rtol=1e-9, atol=0))
+    if bad.size:
+        raise ParseError(lines[bad[0] + 1], "P is not a uniform increasing grid")
     grid = MomentumGrid(float(p[0]), float(p[-1]), len(p))
-    return WaveFunction(grid, re + 1j * im)
+    return WaveFunction(grid, re + 1j * im, _built=True)

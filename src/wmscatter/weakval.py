@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import constants as C
 from .errors import (
     BadCentering,
+    GridMismatch,
     IllConditionedWeakValue,
     NonPositiveInput,
     NonPositiveLength,
@@ -40,7 +39,6 @@ from .qstate import (
     expectation_p,
     gaussian_state,
     grid_for_gaussians,
-    inner_product,
     trapezoid_vdot,
 )
 
@@ -89,6 +87,23 @@ def _observable_values(points, observable, hbar_k):
     raise ValueError(f"unknown observable {observable!r}")
 
 
+def _post_overlaps(post: WaveFunction, grid, kets, observable, hbar_k):
+    """<post|post> and, for each ket, (<post|ket>, <A post|ket>).
+
+    The sums run over post's support only, where it is not exactly zero; the
+    trapezoid's endpoint terms count only where that window reaches a grid end.
+    """
+    if post.grid != grid:
+        raise GridMismatch("states live on different momentum grids")
+    lo, hi = post.support()
+    ends, dp = (lo == 0, hi == grid.n_points), grid.dp
+    bra = post.amplitudes[lo:hi]
+    a_bra = _observable_values(grid.points[lo:hi], observable, hbar_k) * bra
+    return (float(trapezoid_vdot(bra, bra, dp, ends).real),
+            [(complex(trapezoid_vdot(bra, k.amplitudes[lo:hi], dp, ends)),
+              complex(trapezoid_vdot(a_bra, k.amplitudes[lo:hi], dp, ends))) for k in kets])
+
+
 def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
                hbar_k: float = 0.0, eps_overlap: float = EPS_OVERLAP_DEFAULT,
                raise_on_orthogonal: bool = True) -> WeakValueResult:
@@ -98,8 +113,8 @@ def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
     product of norms) falls below eps_overlap; pass raise_on_orthogonal=False
     to get an ill-conditioned result with value=nan instead.
     """
-    denom = inner_product(post, pre)
-    norms = math.sqrt(post.norm_sq() * pre.norm_sq())
+    post_norm, [(denom, numer)] = _post_overlaps(post, pre.grid, [pre], observable, hbar_k)
+    norms = math.sqrt(post_norm * pre.norm_sq())
     overlap_mag = abs(denom) / norms if norms > 0 else 0.0
     if overlap_mag < eps_overlap:
         if raise_on_orthogonal:
@@ -107,9 +122,7 @@ def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
                 f"|<post|pre>| = {overlap_mag:.3e} < eps = {eps_overlap:.3e}")
         return WeakValueResult(complex(float("nan"), float("nan")),
                                overlap_mag, True)
-    a_post = _observable_values(pre.grid.points, observable, hbar_k) * post.amplitudes
-    numer = trapezoid_vdot(a_post, pre.amplitudes, pre.grid.dp)
-    return WeakValueResult(complex(numer / denom), overlap_mag, False)
+    return WeakValueResult(numer / denom, overlap_mag, False)
 
 
 def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
@@ -122,14 +135,14 @@ def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
 
     Reduces to weak_value() for a single component.
     """
-    a_post = _observable_values(post.grid.points, observable, hbar_k) * post.amplitudes
+    post_norm, overlaps = _post_overlaps(
+        post, pre.grid, [psi for _, psi in pre.components], observable, hbar_k)
     numer = 0.0 + 0.0j
     denom = 0.0
-    for w, psi in pre.components:
-        ov = inner_product(post, psi)
-        numer += w * trapezoid_vdot(a_post, psi.amplitudes, post.grid.dp) * np.conj(ov)
+    for (w, _), (ov, a_ov) in zip(pre.components, overlaps):
+        numer += w * a_ov * ov.conjugate()
         denom += w * abs(ov) ** 2
-    overlap_mag = math.sqrt(max(denom, 0.0) / post.norm_sq())
+    overlap_mag = math.sqrt(max(denom, 0.0) / post_norm)
     if overlap_mag < eps_overlap:
         if raise_on_orthogonal:
             raise OrthogonalSelection(

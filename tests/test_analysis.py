@@ -113,6 +113,28 @@ def test_centroid_window_errors():
         an.peak_centroid(flat, np.linspace(0, 10, 50), window=(0.0, 10.0))
 
 
+def test_centroid_skips_bins_before_incident_flight_time():
+    # the same counts re-binned onto a TOF window that starts 40 bins before
+    # the incident flight time, where reduce_spectrum leaves e and K NaN
+    sample = make_sample(4.0, 2.01, e_rot=14.7)
+    geom = DetectorGeometry(11.6, 4.0, math.radians(10.0))
+    bins = recoil_tof_window(BEAM, (geom,), sample, 4.0, n_bins=256)
+    cfg = InstrumentConfig(BEAM, (geom,), bins)
+    spec = poisson_sample(simulate_spectrum(cfg, sample, 0), 200000, 3)
+    t_floor = geom.t0 + geom.l0 / BEAM.v0 / C.US_S
+    extra = math.ceil((bins.t_min - t_floor) / bins.width) + 40
+    wide = TofBinning(bins.t_min - extra * bins.width, bins.t_max, bins.n_bins + extra)
+    wide_spec = Spectrum(0, wide.edges, np.concatenate([np.zeros(extra), spec.counts]))
+    red = an.reduce_spectrum(wide_spec, InstrumentConfig(BEAM, (geom,), wide), 0,
+                             poisson_errors=True)
+    assert np.count_nonzero(np.isnan(red.e)) == 40
+    got_pt, got_fit = an.centroid_ke(red)
+    want_pt, want_fit = an.centroid_ke(an.reduce_spectrum(spec, cfg, 0, poisson_errors=True))
+    assert got_fit.centroid == pytest.approx(want_fit.centroid, rel=1e-12)
+    assert got_pt.k == pytest.approx(want_pt.k, rel=1e-12)
+    assert got_pt.sigma_e == pytest.approx(want_pt.sigma_e, rel=1e-9)
+
+
 # --- mass fits ----------------------------------------------------------------------
 
 def recoil_points(mass, ks, e_rot=0.0, sigma=None, rng=None):

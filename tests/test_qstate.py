@@ -75,6 +75,61 @@ def test_gaussian_preconditions():
         gaussian_state(GRID, 18.0, 1.0)   # 5-sigma window pokes out
 
 
+def reference_gaussian_amplitudes(grid, center, sigma):
+    """gaussian_state's amplitudes from the plain windowed expression and a
+    full-grid norm: the bit-for-bit reference."""
+    half = 2.0 * sigma * math.sqrt(746.0)
+    lo, hi = np.searchsorted(grid.points, (center - half, center + half))
+    env = np.zeros(grid.n_points)
+    env[lo:hi] = np.exp(-((grid.points[lo:hi] - center) ** 2) / (4.0 * sigma**2))
+    norm = (np.vdot(env, env) - 0.5 * (env[0] * env[0] + env[-1] * env[-1])) * grid.dp
+    return np.array(env / math.sqrt(norm), dtype=complex)
+
+
+def test_gaussian_state_bits_match_reference():
+    grid_a = grid_for_gaussians([0.0, 2.3], [1.0, 1e-3])
+    cases = [(GRID, 0.0, 1.0),          # support clipped at both ends
+             (GRID, 19.4, 0.1),         # clipped at the last node
+             (GRID, -19.0, 0.2),        # clipped at node 0
+             (GRID, -7.123, 0.0123),    # interior, a few nodes wide
+             (grid_a, 2.3, 1e-3), (grid_a, 0.0, 1.0)]   # case A post and pre
+    # normalising over the support alone changes the last bit of about one
+    # random pair in twenty (pairs 54 and 60 here)
+    rng = np.random.default_rng(5)
+    for _ in range(80):
+        center, sigma = rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-2.5, 0.3)
+        cases.append((grid_for_gaussians([0.0, center], [1.0, sigma]), center, sigma))
+    for grid, center, sigma in cases:
+        got = gaussian_state(grid, center, sigma)
+        want = reference_gaussian_amplitudes(grid, center, sigma)
+        assert got.amplitudes.tobytes() == want.tobytes()
+        lo, hi = got.support()
+        assert not want[:lo].any() and not want[hi:].any()
+
+
+def test_wavefunction_copies_callers_array():
+    values = gaussian_state(GRID, 0.0, 1.0).amplitudes.copy()
+    frozen = values.copy()
+    frozen.setflags(write=False)
+    states = [WaveFunction(GRID, values), WaveFunction(GRID, frozen), WaveFunction(GRID, list(values))]
+    before = values.copy()
+    values[:] = 7.0
+    for st in states:
+        assert np.array_equal(st.amplitudes, before)
+        assert not np.shares_memory(st.amplitudes, frozen)
+
+
+def test_amplitudes_read_only(tmp_path):
+    g = gaussian_state(GRID, 0.0, 1.0)
+    write_state_csv(g, tmp_path / "g.csv")
+    built = [g, WaveFunction(GRID, g.amplitudes), g.tabulated(), normalize(g), shift(g, 0.5),
+             shift(g.tabulated(), 0.5), with_global_phase(g, 0.3), read_state_csv(tmp_path / "g.csv")]
+    for st in built:
+        assert not st.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            st.amplitudes[0] = 1.0
+
+
 def test_self_overlap_is_one():
     g = gaussian_state(GRID, 0.0, 1.0)
     assert inner_product(g, g) == pytest.approx(1.0, abs=1e-12)
@@ -270,7 +325,11 @@ def test_quadrature_matches_elementwise_trapezoid():
     ("P,re,im\n0.0,1.0,0.0\n0.1,one,0.0\n", 3),
     ("P,re,im\n0.0,1.0,0.0\n0.1,nan,0.0\n", 3),
     ("P,re,im\n0.0,1.0,0.0\n0.1,1.0,-inf\n", 3),
-], ids=["header", "empty", "two-fields", "four-fields", "non-numeric", "nan", "inf"])
+    ("P,re,im\n" + "".join(f"{p},1.0,0.0\n" for p in range(7)), 8),
+    ("P,re,im\n" + "".join(f"{p},1.0,0.0\n" for p in (0, 1, 2, 3, 4, 5, 7, 8)), 8),
+    ("P,re,im\n" + "".join(f"{p},1.0,0.0\n" for p in range(8, 0, -1)), 3),
+], ids=["header", "empty", "two-fields", "four-fields", "non-numeric", "nan", "inf",
+        "seven-rows", "non-uniform", "decreasing"])
 def test_state_csv_rejects_malformed(tmp_path, text, line):
     path = tmp_path / "state.csv"
     path.write_text(text)

@@ -319,32 +319,57 @@ def test_coupling_model_validation():
         CouplingModel(0.5, 4.0, "times")
 
 
+def tabulated_pre(grid):
+    """A complex non-Gaussian state that does not vanish at the grid ends."""
+    p = grid.points
+    return WaveFunction(grid, (1.0 + 0.4 * np.cos(2.0 * p)) * np.exp(0.3j * p - np.abs(p) / 2))
+
+
+def elementwise_mixed_pw(mix, post):
+    """Mixed-state P_w from the elementwise trapezoid over the whole grid."""
+    p, dp = post.grid.points, post.grid.dp
+    bra = np.conj(post.amplitudes)
+    num = den = 0.0
+    for w, psi in mix.components:
+        ov = elementwise_trapezoid(bra * psi.amplitudes, dp)
+        num += w * elementwise_trapezoid(bra * p * psi.amplitudes, dp) * np.conj(ov)
+        den += w * abs(ov) ** 2
+    return num / den
+
+
 def test_weak_values_match_elementwise_trapezoid():
     # complex and tabulated (non-Gaussian) states that do not vanish at the
-    # grid ends, so a wrongly conjugated <post| or endpoint term shows
+    # grid ends, so a wrongly conjugated <post| or endpoint term shows; and
+    # Gaussian-tagged posts, whose integrals run over their support only
     rng = np.random.default_rng(11)
-    p, dp = GRID.points, GRID.dp
-    pre_tab = WaveFunction(GRID, (1.0 + 0.4 * np.cos(2.0 * p)) * np.exp(0.3j * p - np.abs(p) / 2))
+    p = GRID.points
+    pre_tab = tabulated_pre(GRID)
     post_tab = WaveFunction(GRID, np.exp(1j * rng.uniform(0, 6, p.size) - np.abs(p - 4.0) / 1.5))
     post_phased = with_global_phase(gaussian_state(GRID, 4.0, 0.5), 0.7)
+    # tagged posts 5.2 sigma from a grid end: support and endpoint term reach it
+    post_last = gaussian_state(GRID, GRID.p_max - 2.6, 0.5)
+    post_first = gaussian_state(GRID, GRID.p_min + 2.6, 0.5)
+    assert post_last.support()[1] == GRID.n_points and post_first.support()[0] == 0
+    pre_a, post_a = scenario("A", 1.0, 2.0)   # sigma_f = 1e-3 in the interior
+    lo, hi = post_a.support()
+    assert 0 < lo < hi < post_a.grid.n_points and hi - lo < post_a.grid.n_points // 100
+    pre_a_tab = tabulated_pre(post_a.grid)
     pairs = [(gaussian_state(GRID, 0.0, 1.0), post_phased), (pre_tab, post_tab),
-             (pre_tab, post_phased)]
+             (pre_tab, post_phased), (pre_tab, post_last), (pre_tab, post_first),
+             (pre_a, post_a), (pre_a_tab, post_a)]
     for pre, post in pairs:
+        p, dp = pre.grid.points, pre.grid.dp
         for observable, hbar_k in (("P", 0.0), ("P_minus_hbarK", 4.0)):
             bra = np.conj(post.amplitudes)
             ref = elementwise_trapezoid(bra * (p - hbar_k) * pre.amplitudes, dp) \
                 / elementwise_trapezoid(bra * pre.amplitudes, dp)
             got = weak_value(pre, post, observable, hbar_k=hbar_k).value
             assert abs(got - ref) <= 1e-13 * abs(ref)
-    num = den = 0.0
-    for w, psi in ((0.3, pairs[0][0]), (0.7, pre_tab)):
-        ov = elementwise_trapezoid(np.conj(post_tab.amplitudes) * psi.amplitudes, dp)
-        num += w * elementwise_trapezoid(np.conj(post_tab.amplitudes) * p * psi.amplitudes, dp) \
-            * np.conj(ov)
-        den += w * abs(ov) ** 2
-    mix = MixedState(((0.3, pairs[0][0]), (0.7, pre_tab)))
-    got = weak_value_mixed(mix, post_tab, "P").value
-    assert abs(got - num / den) <= 1e-13 * abs(num / den)
+    for mix, post in ((MixedState(((0.3, pairs[0][0]), (0.7, pre_tab))), post_tab),
+                      (MixedState(((0.4, pre_a), (0.6, pre_a_tab))), post_a)):
+        ref = elementwise_mixed_pw(mix, post)
+        got = weak_value_mixed(mix, post, "P").value
+        assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
 @pytest.mark.parametrize("hbar_k", [0.5, 4.0])
