@@ -5,7 +5,8 @@ output is full-double-precision JSON (human tables round to 4 significant
 digits); the seed is echoed in every product.
 
 Exit codes: 0 success, 2 invalid arguments or config parse failure,
-3 orthogonal post-selection, 4 unphysical TOF range, 1 other library errors.
+3 orthogonal post-selection, 4 unphysical TOF range, 1 other library errors
+(for reduce, any input that failed; centroids.csv lists them and the rest).
 """
 
 from __future__ import annotations
@@ -199,14 +200,14 @@ def cmd_reduce(args):
             pt, _ = analysis.centroid_ke(red)
             records.append((spec.detector_index, pt))
         except WmScatterError as exc:
-            failures.append((path, exc))
+            failures.append({"path": str(path), "error": f"{type(exc).__name__}: {exc}"})
             print(f"reduce: {path}: {exc}", file=sys.stderr)
     if not records:
         raise WmScatterError(f"all {len(failures)} inputs failed to reduce")
     analysis.write_centroids_csv(
         records, os.path.join(outdir, "centroids.csv"),
-        metadata={"seed": seed})
-    return 0
+        metadata={"seed": seed, "failures": failures})
+    return 1 if failures else 0
 
 
 KE_COLUMNS = ("tof_us", "K", "E", "intensity")

@@ -8,6 +8,10 @@ Gaussian states carry an analytic descriptor so momentum shifts can be
 evaluated exactly; tabulated states are shifted by band-limited (FFT)
 interpolation.
 
+Amplitudes keep the kind of their input, float64 for real and complex128 for
+complex; every Gaussian state is real.  Bit-for-bit statements hold at a fixed
+BLAS thread count, since np.vdot over a large grid is split across threads.
+
 The descriptor is trusted, as shift() trusts it: a tagged state is taken to
 be exactly zero outside the index window where its Gaussian underflows to
 0.0 (WaveFunction.support()), so integrals with it as the bra may run over
@@ -122,12 +126,12 @@ def _gaussian_support(grid: MomentumGrid, center: float, sigma: float):
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Complex momentum-space amplitudes on a MomentumGrid.
+    """Real (float64) or complex (complex128) momentum amplitudes on a MomentumGrid.
 
     When ``descriptor`` is set the amplitudes are exactly a normalized
     Gaussian and shift() re-evaluates instead of interpolating.  The
     amplitudes are a read-only copy of the array passed in; only this
-    module passes _built=True, for a fresh complex array it made itself.
+    module passes _built=True, for a fresh array it made itself.
     """
 
     grid: MomentumGrid
@@ -136,7 +140,8 @@ class WaveFunction:
     _built: InitVar[bool] = False
 
     def __post_init__(self, _built):
-        amps = self.amplitudes if _built else np.array(self.amplitudes, dtype=complex)
+        amps = self.amplitudes if _built else np.array(
+            self.amplitudes, dtype=complex if np.iscomplexobj(self.amplitudes) else float)
         if amps.shape != (self.grid.n_points,):
             raise ValueError("amplitudes length must equal grid.n_points")
         amps.setflags(write=False)
@@ -213,8 +218,8 @@ def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunct
             f"exceeds grid [{grid.p_min}, {grid.p_max}]")
     # exp is evaluated on the support only, in place: -((P - center)^2) / (4 sigma^2)
     lo, hi = _gaussian_support(grid, center, sigma)
-    env = np.zeros(grid.n_points)
-    seg = env[lo:hi]
+    amps = np.zeros(grid.n_points)
+    seg = amps[lo:hi]
     np.subtract(grid.points[lo:hi], center, out=seg)
     np.square(seg, out=seg)
     np.negative(seg, out=seg)
@@ -222,19 +227,14 @@ def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunct
     np.exp(seg, out=seg)
     # normalised by the dot product over the whole contiguous buffer: one over
     # the support alone can differ in the last bit
-    amps = np.zeros(grid.n_points, dtype=complex)
-    np.divide(seg, _norm(env, grid.dp), out=amps.real[lo:hi])
+    np.divide(seg, _norm(amps, grid.dp), out=seg)
     return WaveFunction(grid, amps, GaussianTag(center, sigma), _built=True)
-
-
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatch("states live on different momentum grids")
 
 
 def inner_product(bra: WaveFunction, ket: WaveFunction) -> complex:
     """<bra|ket> by trapezoidal quadrature; conjugate-symmetric."""
-    _require_same_grid(bra, ket)
+    if bra.grid != ket.grid:
+        raise GridMismatch("states live on different momentum grids")
     return complex(trapezoid_vdot(bra.amplitudes, ket.amplitudes, bra.grid.dp))
 
 

@@ -48,7 +48,12 @@ def test_full_chain(h2_inputs, capsys):
     cen = red / "centroids.csv"
     seed = ["--seed", RUN_SEED]
     run(["weakvalue", "--case", "A", *seed, "--out", tmp / "wv.json"])
-    assert json.loads((tmp / "wv.json").read_text())["seed"] == RUN_SEED
+    wv = json.loads((tmp / "wv.json").read_text())
+    assert wv["seed"] == RUN_SEED
+    # case A's defaults: sigma_i = 1, hbarK = 4, sigma_f = 1e-3 sigma_i
+    sigma_i, hbar_k, sigma_f = 1.0, 4.0, 1e-3
+    assert wv["P_w_re"] == pytest.approx(hbar_k * sigma_i**2 / (sigma_i**2 + sigma_f**2), rel=1e-9)
+    assert wv["P_w_im"] == 0.0
 
     run(["simulate", "--instrument", inst, "--sample", sample,
          "--counts", 200000, *seed, "--out", sim])
@@ -63,6 +68,7 @@ def test_full_chain(h2_inputs, capsys):
     run(["reduce", "--input", sim, "--seed", 999, "--out", red])
     meta, recs = analysis.read_centroids_csv(cen)
     assert meta["seed"] == RUN_SEED
+    assert meta["failures"] == []
     assert [d for d, _ in recs] == list(range(5))
 
     run(["fit", "--centroids", cen, "--m-free", M_FREE, "--out", tmp / "fit.json"])
@@ -99,6 +105,23 @@ def test_reduce_falls_back_to_cli_seed(h2_inputs, tmp_path):
     run(["reduce", "--input", tmp_path, "--seed", 5, "--out", tmp_path / "red"])
     meta, _ = analysis.read_centroids_csv(tmp_path / "red" / "centroids.csv")
     assert meta["seed"] == 5
+
+
+def test_reduce_records_failed_inputs_and_exits_1(h2_inputs, tmp_path, capsys):
+    tmp, inst, sample = h2_inputs
+    sim, red = tmp / "sim", tmp / "red"
+    run(["simulate", "--instrument", inst, "--sample", sample, "--out", sim])
+    bad = sim / "spectrum_det002.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[5] = lines[5].replace(",", ",x", 1)
+    bad.write_text("".join(lines))
+    assert cli.main(["reduce", "--input", str(sim), "--out", str(red)]) == 1
+    assert "spectrum_det002.csv" in capsys.readouterr().err
+    meta, recs = analysis.read_centroids_csv(red / "centroids.csv")
+    assert [d for d, _ in recs] == [0, 1, 3, 4]
+    [failure] = meta["failures"]
+    assert failure["path"] == str(bad)
+    assert failure["error"].startswith("ParseError: ")
 
 
 def test_ke_file_needs_its_column_header(h2_inputs, tmp_path):

@@ -102,7 +102,8 @@ def test_gaussian_state_bits_match_reference():
     for grid, center, sigma in cases:
         got = gaussian_state(grid, center, sigma)
         want = reference_gaussian_amplitudes(grid, center, sigma)
-        assert got.amplitudes.tobytes() == want.tobytes()
+        assert got.amplitudes.dtype == np.float64
+        assert np.asarray(got.amplitudes, dtype=complex).tobytes() == want.tobytes()
         lo, hi = got.support()
         assert not want[:lo].any() and not want[hi:].any()
 
@@ -120,14 +121,20 @@ def test_wavefunction_copies_callers_array():
 
 
 def test_amplitudes_read_only(tmp_path):
+    # and they keep the kind of their input: real stays float64, complex is complex128
     g = gaussian_state(GRID, 0.0, 1.0)
     write_state_csv(g, tmp_path / "g.csv")
-    built = [g, WaveFunction(GRID, g.amplitudes), g.tabulated(), normalize(g), shift(g, 0.5),
-             shift(g.tabulated(), 0.5), with_global_phase(g, 0.3), read_state_csv(tmp_path / "g.csv")]
-    for st in built:
-        assert not st.amplitudes.flags.writeable
-        with pytest.raises(ValueError):
-            st.amplitudes[0] = 1.0
+    built = {np.float64: [g, WaveFunction(GRID, g.amplitudes), WaveFunction(GRID, list(g.amplitudes)),
+                          g.tabulated(), normalize(g), normalize(WaveFunction(GRID, 2.0 * g.amplitudes)),
+                          shift(g, 0.5)],
+             np.complex128: [WaveFunction(GRID, g.amplitudes + 0j), shift(g.tabulated(), 0.5),
+                             with_global_phase(g, 0.3), read_state_csv(tmp_path / "g.csv")]}
+    for kind, states in built.items():
+        for st in states:
+            assert st.amplitudes.dtype == kind
+            assert not st.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                st.amplitudes[0] = 1.0
 
 
 def test_self_overlap_is_one():

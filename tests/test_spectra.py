@@ -11,7 +11,7 @@ import wmscatter.analysis as analysis
 from wmscatter import constants as C
 from wmscatter.errors import NonPositiveK, UnphysicalTOF
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam, k_transfer
-from wmscatter.qstate import MixedState, gaussian_state, grid_for_gaussians, shift
+from wmscatter.qstate import MixedState, WaveFunction, gaussian_state, grid_for_gaussians, shift
 from wmscatter.spectra import (
     DeficitInjection,
     InstrumentConfig,
@@ -361,6 +361,24 @@ def test_sample_from_dict_mixture_and_deficit():
     assert isinstance(sample.momentum_dist, MixedState)
     assert sample.deficit.lam == 0.5
     assert sample.deficit.k_scale == pytest.approx(0.75)
+    gauss = sample_from_dict({**doc, "momentum_dist": {"type": "gaussian", "sigma": 0.3}})
+    for _, wf in (*sample.momentum_dist.components, (1.0, gauss.momentum_dist)):
+        assert wf.amplitudes.dtype == np.float64
+        assert not wf.amplitudes.flags.writeable
+
+
+def test_density_of_real_state_matches_complex_copy():
+    # the H2 samples of the forward model: the density of the real amplitudes
+    # is bit for bit that of the same amplitudes held as complex, so spectra
+    # do not depend on the amplitudes' kind
+    for dist in ({"type": "gaussian", "sigma": 0.3},
+                 {"type": "mixture", "components": [{"weight": 0.6, "sigma": 0.3},
+                                                    {"weight": 0.4, "sigma": 0.6}]}):
+        state = sample_from_dict({"schema": 1, "M": 2.01, "momentum_dist": dist}).momentum_dist
+        for _, real in getattr(state, "components", ((1.0, state),)):
+            as_complex = WaveFunction(real.grid, real.amplitudes + 0j)
+            assert as_complex.amplitudes.dtype == np.complex128
+            assert momentum_density(real).n.tobytes() == momentum_density(as_complex).n.tobytes()
 
 
 def test_sample_requires_centered_distribution():

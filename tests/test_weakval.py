@@ -354,9 +354,15 @@ def test_weak_values_match_elementwise_trapezoid():
     lo, hi = post_a.support()
     assert 0 < lo < hi < post_a.grid.n_points and hi - lo < post_a.grid.n_points // 100
     pre_a_tab = tabulated_pre(post_a.grid)
+    # real (float64) amplitudes on both sides, and a real pre with a complex post
+    pre_real = WaveFunction(GRID, (1.0 + 0.4 * np.cos(2.0 * p)) * np.exp(-np.abs(p) / 2))
+    post_real = WaveFunction(GRID, (1.0 + 0.3 * np.sin(p)) * np.exp(-np.abs(p - 4.0) / 1.5))
+    assert pre_real.amplitudes.dtype == post_real.amplitudes.dtype == np.float64
+    assert post_phased.amplitudes.dtype == np.complex128
     pairs = [(gaussian_state(GRID, 0.0, 1.0), post_phased), (pre_tab, post_tab),
              (pre_tab, post_phased), (pre_tab, post_last), (pre_tab, post_first),
-             (pre_a, post_a), (pre_a_tab, post_a)]
+             (pre_a, post_a), (pre_a_tab, post_a),
+             (pre_real, post_real), (pre_real, post_phased)]
     for pre, post in pairs:
         p, dp = pre.grid.points, pre.grid.dp
         for observable, hbar_k in (("P", 0.0), ("P_minus_hbarK", 4.0)):
