@@ -81,6 +81,7 @@ class CalibrationReport:
     masking_flag: bool
     residual_norm: float
     assumed_mass: float
+    delta_sigmas: dict   # each adjusted parameter in units of its prior sigma
 
 
 def _levenberg_marquardt(fun, x0):
@@ -150,6 +151,16 @@ def peak_centroid(spec: Spectrum, energy_axis, window=None,
     y = np.asarray(spec.counts, dtype=float)
     if e.shape != y.shape:
         raise ValueError("energy axis and counts must have equal length")
+    fit, wres, wjac = _refine_gaussian(e, y, window, count_errors)
+    return replace(fit, centroid_err=_fit_stderr(wres, wjac, count_errors is None))
+
+
+def _refine_gaussian(e, y, window, count_errors=None):
+    """The Gaussian refinement of peak_centroid on equal-length arrays.
+
+    Returns (PeakFit without centroid_err, weighted residuals, weighted
+    Jacobian) at the solution.
+    """
     if window is None:
         lo, hi = _auto_window(e, y)
     else:
@@ -158,16 +169,17 @@ def peak_centroid(spec: Spectrum, energy_axis, window=None,
     if np.count_nonzero(mask & (y > 0)) < 5:
         raise EmptyWindow(
             f"window [{lo}, {hi}] holds fewer than 5 bins with positive counts")
-    if np.ptp(y[mask]) == 0:
-        raise DegeneratePeak("all counts in the window are equal")
     ew, yw = e[mask], y[mask]
+    y_max = yw.max()
+    if y_max == yw.min():
+        raise DegeneratePeak("all counts in the window are equal")
     # nonuniform-axis moments
-    de = np.gradient(ew)
-    tot = np.sum(yw * de)
-    first = float(np.sum(ew * yw * de) / tot)
-    var = float(np.sum((ew - first) ** 2 * yw * de) / tot)
+    de = _spacing(ew)
+    tot = (yw * de).sum()
+    first = float((ew * yw * de).sum() / tot)
+    var = float(((ew - first) ** 2 * yw * de).sum() / tot)
     width0 = math.sqrt(max(var, (ew[1] - ew[0]) ** 2 / 12.0))
-    p0 = [float(yw.max()), first, width0]
+    p0 = [float(y_max), first, width0]
     inv_sig = None
     if count_errors is not None:
         sig = np.asarray(count_errors, dtype=float)[mask]
@@ -185,27 +197,43 @@ def peak_centroid(spec: Spectrum, energy_axis, window=None,
         popt, wres, wjac = _levenberg_marquardt(residuals, p0)
     except NonConvergence as exc:
         raise NonConvergence(f"Gaussian refinement failed: {exc}") from exc
-    amp, center, width = float(popt[0]), float(popt[1]), abs(float(popt[2]))
-    cerr = None
+    resid = wres if inv_sig is None else wres / inv_sig
+    fit = PeakFit(float(popt[1]), abs(float(popt[2])), float(popt[0]),
+                  float(np.linalg.norm(resid)), first_moment=first)
+    return fit, wres, wjac
+
+
+def _fit_stderr(wres, wjac, scale_by_chi2):
+    """Centroid stderr from inv(J^T J) of the fit, scaled by chi^2 / dof
+    unless the residuals carry absolute weights; None if J^T J is singular."""
     try:
         cov = np.linalg.inv(wjac.T @ wjac)
-        if count_errors is None:
-            cov *= float(wres @ wres) / (len(yw) - len(popt))
-        cerr = float(math.sqrt(abs(cov[1, 1])))
     except np.linalg.LinAlgError:
-        pass
-    resid = wres if inv_sig is None else wres / inv_sig
-    return PeakFit(center, width, amp, float(np.linalg.norm(resid)),
-                   first_moment=first, centroid_err=cerr)
+        return None
+    if scale_by_chi2:
+        cov *= float(wres @ wres) / (len(wres) - wjac.shape[1])
+    return float(math.sqrt(abs(cov[1, 1])))
+
+
+def _spacing(x):
+    """np.gradient(x) of a 1-D array with at least 2 entries, by slicing:
+    central differences inside, one-sided differences at the two ends."""
+    d = np.empty_like(x)
+    d[1:-1] = (x[2:] - x[:-2]) / 2.0
+    d[0] = x[1] - x[0]
+    d[-1] = x[-1] - x[-2]
+    return d
 
 
 def _moments(e, y):
-    de = np.gradient(e)
-    tot = np.sum(y * de)
+    if len(e) < 2:
+        raise EmptyWindow(f"{len(e)} bins with a finite energy")
+    de = _spacing(e)
+    tot = (y * de).sum()
     if tot <= 0:
         raise EmptyWindow("no counts at all")
-    c = float(np.sum(e * y * de) / tot)
-    w = math.sqrt(max(float(np.sum((e - c) ** 2 * y * de) / tot), 0.0))
+    c = float((e * y * de).sum() / tot)
+    w = math.sqrt(max(float(((e - c) ** 2 * y * de).sum() / tot), 0.0))
     if w == 0:
         raise DegeneratePeak("zero-width count distribution")
     return c, w
@@ -322,7 +350,8 @@ class ReducedDetector:
 
     intensity is counts divided by the instrument factor (k1/k0) * |dE/dt| * dt,
     i.e. samples of the energy-shell intensity along the trajectory.  factor
-    holds that per-bin conversion so Poisson errors can be modeled.
+    holds that per-bin conversion so Poisson errors can be modeled.  t, k, e
+    and factor are read-only arrays shared with the trajectory memo of spectra.
     """
 
     detector_index: int
@@ -353,16 +382,14 @@ def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
         det_index = 0
     elif det_index is None:
         det_index = spec.detector_index
-    t, valid, v1, k1, e, kk, jac = _trajectory_arrays(cfg, det_index)
-    factor = (k1 / cfg.beam.k0) * jac * cfg.tof_bins.width
+    t, valid, _, e, kk, _, factor = _trajectory_arrays(cfg, det_index)
     with np.errstate(invalid="ignore", divide="ignore"):
         inten = np.where(valid, spec.counts / factor, 0.0)
         err = None
         if poisson_errors:
             err = np.where(valid, np.sqrt(np.maximum(spec.counts, 1.0)) / factor, 0.0)
     return ReducedDetector(spec.detector_index, t, kk, e, inten, err,
-                           np.asarray(spec.counts, dtype=float),
-                           np.where(valid, factor, np.nan))
+                           np.asarray(spec.counts, dtype=float), factor)
 
 
 def _gauss_jac(e, amp, center, width):
@@ -383,37 +410,51 @@ def centroid_ke(red: ReducedDetector, window=None) -> tuple:
     The Gaussian location fit is unweighted (Poisson weighting would emphasize
     the wings, where the shell lineshape departs from a Gaussian); for counting
     data the centroid uncertainty comes from the sandwich covariance with
-    per-bin Poisson variances modeled as (fitted counts, floored at 1).
+    per-bin Poisson variances modeled as (fitted counts, floored at 1), and
+    otherwise from the fit's chi^2-scaled covariance.
     """
-    spec_like = Spectrum(red.detector_index,
-                         np.arange(len(red.intensity) + 1, dtype=float),
-                         np.maximum(red.intensity, 0.0))
-    fit = peak_centroid(spec_like, red.e, window=window, count_errors=None)
+    fit, wres, wjac = _refine_gaussian(red.e, np.maximum(red.intensity, 0.0), window)
+    cerr = None
     if red.intensity_err is not None and red.factor is not None:
-        lo, hi = window if window is not None else \
-            (fit.centroid - 3.0 * fit.width, fit.centroid + 3.0 * fit.width)
-        mask = (red.e >= lo) & (red.e <= hi) & np.isfinite(red.factor)
-        if np.count_nonzero(mask) >= 5:
-            ew = red.e[mask]
-            jac = _gauss_jac(ew, fit.amplitude, fit.centroid, fit.width)
-            model_counts = fit.amplitude * jac[:, 0] * red.factor[mask]
-            var_i = np.maximum(model_counts, 1.0) / red.factor[mask] ** 2
-            jtj = jac.T @ jac
-            try:
-                jtj_inv = np.linalg.inv(jtj)
-                cov = jtj_inv @ ((jac.T * var_i) @ jac) @ jtj_inv
-                fit = replace(fit, centroid_err=float(math.sqrt(abs(cov[1, 1]))))
-            except np.linalg.LinAlgError:
-                pass
+        cerr = _sandwich_stderr(red, fit, window)
+    if cerr is None:
+        cerr = _fit_stderr(wres, wjac, scale_by_chi2=True)
+    fit = replace(fit, centroid_err=cerr)
     fin = np.isfinite(red.e)
     k_at = float(np.interp(fit.centroid, red.e[fin], red.k[fin]))
-    sigma = fit.centroid_err if (fit.centroid_err and fit.centroid_err > 0) else None
+    sigma = cerr if (cerr and cerr > 0) else None
     return KEPoint(k_at, fit.centroid, sigma), fit
+
+
+def _sandwich_stderr(red, fit, window):
+    """Centroid stderr from J^-1 (J^T V J) J^-1 over the window, or +-3 fitted
+    widths without one; None when fewer than 5 bins or a singular J^T J."""
+    lo, hi = window if window is not None else \
+        (fit.centroid - 3.0 * fit.width, fit.centroid + 3.0 * fit.width)
+    mask = (red.e >= lo) & (red.e <= hi) & np.isfinite(red.factor)
+    if np.count_nonzero(mask) < 5:
+        return None
+    ew, factor = red.e[mask], red.factor[mask]
+    jac = _gauss_jac(ew, fit.amplitude, fit.centroid, fit.width)
+    model_counts = fit.amplitude * jac[:, 0] * factor
+    var_i = np.maximum(model_counts, 1.0) / factor ** 2
+    try:
+        jtj_inv = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        return None
+    cov = jtj_inv @ ((jac.T * var_i) @ jac) @ jtj_inv
+    return float(math.sqrt(abs(cov[1, 1])))
 
 
 # --- calibration audit -----------------------------------------------------------
 
 AUDIT_PARAMS = ("L0", "L1", "t0", "theta", "E0")
+# Prior standard deviations of the calibration deltas: the tolerances to which
+# a calibrated instrument is trusted.  E0's is a fraction of E0.
+AUDIT_PRIOR_SIGMA = {"L0": 0.01, "L1": 0.01, "t0": 1.0, "theta": math.radians(0.5)}
+AUDIT_PRIOR_E0_FRACTION = 0.01
+# A recalibration masks an anomaly only with every delta within this many sigma.
+AUDIT_MAX_SIGMAS = 3.0
 
 
 def _peak_tof(cfg: InstrumentConfig, det_index: int, e_centroid: float) -> float:
@@ -458,8 +499,11 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
     centroids referred to cfg.  They are converted once to their (fixed,
     map-independent) TOF positions; the chosen parameter deltas (shared across
     detectors) are then fitted by least squares.  masking_flag reports whether
-    the refitted mass agrees with assumed_m within masking_tol, i.e. whether
-    recalibration has absorbed whatever anomaly was present.
+    the refitted mass agrees with assumed_m within masking_tol and every
+    delta lies within AUDIT_MAX_SIGMAS of its prior, i.e. whether a plausible
+    recalibration has absorbed whatever anomaly was present.  Each free delta
+    x_j adds the prior residual x_j / sigma_j to the fit, so residual_norm
+    includes those terms.
     """
     peaks = list(observed_peaks)
     free = tuple(free_params)
@@ -472,6 +516,8 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
     t_peaks = [(d, _peak_tof(cfg, d, pf.centroid),
                 pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0) else 1.0)
                for d, pf in peaks]
+    prior = {**AUDIT_PRIOR_SIGMA, "E0": AUDIT_PRIOR_E0_FRACTION * cfg.beam.e0}
+    free_prior = np.array([prior[name] for name in free])
 
     def residuals(x):
         deltas = dict(zip(free, x))
@@ -483,7 +529,7 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
                 continue
             kk, e = ke
             out.append((e - C.ATOM_E_COEF * kk**2 / assumed_m) / sig)
-        return np.array(out)
+        return np.concatenate([out, x / free_prior])
 
     def residuals_and_jacobian(x):
         r = residuals(x)
@@ -495,7 +541,7 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
         return r, jac
 
     deltas = {name: 0.0 for name in AUDIT_PARAMS}
-    resid_norm = float(np.linalg.norm(residuals([])))
+    resid_norm = float(np.linalg.norm(residuals(np.zeros(len(free)))))
     if free:
         try:
             x, r, _ = _levenberg_marquardt(residuals_and_jacobian, np.zeros(len(free)))
@@ -510,8 +556,10 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
         if ke is not None:
             fit_points.append(KEPoint(ke[0], ke[1], sig if sig != 1.0 else None))
     refit = fit_recoil_mass(fit_points)
-    masking = bool(abs(refit.m_eff - assumed_m) / assumed_m < masking_tol)
-    return CalibrationReport(deltas, refit.m_eff, masking, resid_norm, assumed_m)
+    sigmas = {name: deltas[name] / prior[name] for name in AUDIT_PARAMS}
+    masking = bool(abs(refit.m_eff - assumed_m) / assumed_m < masking_tol
+                   and all(abs(v) <= AUDIT_MAX_SIGMAS for v in sigmas.values()))
+    return CalibrationReport(deltas, refit.m_eff, masking, resid_norm, assumed_m, sigmas)
 
 
 def report_text(report: CalibrationReport) -> str:
@@ -521,9 +569,10 @@ def report_text(report: CalibrationReport) -> str:
              f"  refit mass   : {report.refit_mass:.4g} amu",
              f"  masking      : {'YES' if report.masking_flag else 'no'}",
              f"  residual norm: {report.residual_norm:.4g}",
-             "  parameter deltas:"]
+             "  parameter deltas (prior sigmas):"]
     for name in AUDIT_PARAMS:
-        lines.append(f"    {name:<6} {report.adjusted_params[name]:+.4g}")
+        lines.append(f"    {name:<6} {report.adjusted_params[name]:+.4g} "
+                     f"({report.delta_sigmas[name]:+.4g})")
     return "\n".join(lines) + "\n"
 
 

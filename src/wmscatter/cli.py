@@ -266,6 +266,7 @@ def cmd_audit(args):
         "assumed_mass": report.assumed_mass,
         "free_params": list(free),
         "adjusted_params": report.adjusted_params,
+        "delta_sigmas": report.delta_sigmas,
         "refit_mass": report.refit_mass,
         "masking_flag": report.masking_flag,
         "residual_norm": report.residual_norm,

@@ -21,6 +21,7 @@ apparent mass M * (1 - lam * d)^2.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -196,17 +197,32 @@ def detector_trajectory(cfg: InstrumentConfig, det_index: int):
     where the TOF is unphysical) and a boolean mask flagging usable bins.
     Unphysical bins are flagged, never silently dropped.
     """
-    _, valid, _, _, e, kk, _ = _trajectory_arrays(cfg, det_index)
+    _, valid, _, e, kk, _, _ = _trajectory_arrays(cfg, det_index)
     points = [KEPoint(k, en) if ok else KEPoint(0.0, float("nan"))
               for k, en, ok in zip(kk.tolist(), e.tolist(), valid.tolist())]
     return points, valid
 
 
+# Trajectories kept by _trajectory: one per detector of the 11-detector H2
+# bank, so a Monte-Carlo study over it recomputes none of them.  Beyond the
+# t, K, E and factor arrays its ReducedDetectors hold, an entry keeps valid,
+# k1 and dE/dt alive.
+TRAJECTORY_MEMO_SIZE = 11
+
+
 def _trajectory_arrays(cfg, det_index):
-    """Vectorized trajectory pieces used by the simulator and the reducer."""
-    geom = cfg.detectors[det_index]
-    beam = cfg.beam
-    t = cfg.tof_bins.centers
+    """Read-only (t, valid, k1, E, K, dE/dt, factor) along one detector's TOF
+    bin centers, shared by the simulator and the reducer.  factor is the
+    counts-per-shell-intensity conversion (k1/k0) * dE/dt * dt, nan where the
+    TOF is unphysical."""
+    return _trajectory(cfg.beam, cfg.detectors[det_index], cfg.tof_bins)
+
+
+@functools.lru_cache(maxsize=TRAJECTORY_MEMO_SIZE)
+def _trajectory(beam, geom, bins):
+    """Memoised on what the trajectory depends on, so a geometry rebuilt from
+    spectrum-file metadata finds the entry its simulation filled."""
+    t = bins.centers
     remain_us = (t - geom.t0) - geom.l0 / beam.v0 / C.US_S
     valid = remain_us > 0
     safe = np.where(valid, remain_us, np.nan)
@@ -216,7 +232,11 @@ def _trajectory_arrays(cfg, det_index):
     kk = np.sqrt(np.maximum(
         beam.k0**2 + k1**2 - 2.0 * beam.k0 * k1 * math.cos(geom.theta), 0.0))
     jac = 2.0 * C.NEUTRON_E_COEF * k1**2 / safe   # dE/dt in meV/us
-    return t, valid, v1, k1, e, kk, jac
+    factor = np.where(valid, (k1 / beam.k0) * jac * bins.width, np.nan)
+    out = (t, valid, k1, e, kk, jac, factor)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def simulate_spectrum(cfg: InstrumentConfig, sample: SampleModel,
@@ -227,7 +247,7 @@ def simulate_spectrum(cfg: InstrumentConfig, sample: SampleModel,
     K_atom = K_recorded / k_scale when a deficit is injected.  Raises
     UnphysicalTOF if any bin of the TOF window is not invertible.
     """
-    t, valid, v1, k1, e, kk, jac = _trajectory_arrays(cfg, det_index)
+    t, valid, k1, e, kk, jac, _ = _trajectory_arrays(cfg, det_index)
     if not np.all(valid):
         bad = int(np.argmin(valid))
         raise UnphysicalTOF(

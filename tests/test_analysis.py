@@ -283,6 +283,7 @@ def test_audit_clean_data_near_zero_deltas():
     assert abs(rep.adjusted_params["t0"]) < 0.5
     assert rep.masking_flag
     assert rep.refit_mass == pytest.approx(2.01, rel=2e-3)
+    assert "masking      : YES" in an.report_text(rep)
 
 
 def test_audit_absorbs_small_deficit_with_t0():
@@ -292,11 +293,15 @@ def test_audit_absorbs_small_deficit_with_t0():
     raw = an.fit_recoil_mass(points, m_free=2.01)
     assert raw.classification == "anomalous"
     rep = an.calibration_audit(cfg, peaks, 2.01, free_params=("t0",))
-    assert rep.masking_flag
+    # t0 absorbs the deficit, but only by a shift far outside its 1 us prior,
+    # so the recalibration is not a plausible explanation
     assert abs(rep.refit_mass - 2.01) / 2.01 < 0.01
     assert abs(rep.adjusted_params["t0"]) > 10.0
+    assert rep.delta_sigmas["t0"] == rep.adjusted_params["t0"] / an.AUDIT_PRIOR_SIGMA["t0"]
+    assert not rep.masking_flag
     text = an.report_text(rep)
-    assert "masking" in text and "YES" in text
+    assert "masking      : no" in text
+    assert f"({rep.delta_sigmas['t0']:+.4g})" in text
 
 
 def test_audit_no_free_params_stays_anomalous():
@@ -316,6 +321,31 @@ def test_audit_monotone_t0_delta_in_lambda():
         rep = an.calibration_audit(cfg, peaks, 2.01, free_params=("t0",))
         deltas.append(abs(rep.adjusted_params["t0"]))
     assert deltas[0] < deltas[1] < deltas[2]
+
+
+def test_audit_absurd_adjustment_is_not_masking():
+    # the 100-detector H2 bank at 8192 bins, Poisson seeds as in the bank_io
+    # benchmark with seed 1: freeing L1 and theta reaches the assumed mass
+    # only by turning theta through ~1.6 rad and shortening L1 by ~1.6 m
+    m_free, m_eff = 2.01, 0.64
+    lam = 2.0 * (1.0 - math.sqrt(m_eff / m_free))
+    sample = make_sample(0.3, m_free, e_rot=14.7, deficit=DeficitInjection(lam, 1.0))
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a))
+                 for a in np.linspace(8.0, 28.0, 100))
+    cfg = InstrumentConfig(BEAM, dets, recoil_tof_window(BEAM, dets, sample, 0.3,
+                                                         n_bins=8192))
+    peaks = []
+    for d in range(len(dets)):
+        seed = int(np.random.SeedSequence([1, 0, d]).generate_state(1)[0])
+        spec = poisson_sample(simulate_spectrum(cfg, sample, d), 200000, seed)
+        pt, _ = an.centroid_ke(an.reduce_spectrum(spec, cfg, d, poisson_errors=True))
+        peaks.append((d, an.PeakFit(pt.e, 1.0, 1.0, 0.0, centroid_err=pt.sigma_e)))
+    rep = an.calibration_audit(cfg, peaks, m_free, free_params=("L1", "theta"))
+    assert abs(rep.refit_mass - m_free) / m_free < 0.01
+    assert rep.adjusted_params["theta"] > 1.0
+    assert rep.adjusted_params["L1"] < -1.0
+    assert rep.delta_sigmas["theta"] > an.AUDIT_MAX_SIGMAS
+    assert not rep.masking_flag
 
 
 def test_audit_underdetermined():

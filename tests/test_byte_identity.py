@@ -1,9 +1,10 @@
-"""The column-wise table writer and the vectorised ribbon produce the same
-bytes as the row-by-row and point-by-point code they replaced, kept here as
-references."""
+"""The column-wise table writer, the vectorised ribbon, and the memoised
+trajectory with the lean centroid path produce the same bytes as the code
+they replaced, kept here as references."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from wmscatter import analysis, cli, spectra, svgplot
 from wmscatter import constants as C
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam
+from wmscatter.kinematics import KEPoint
 from wmscatter.qstate import gaussian_state, grid_for_gaussians
 
 BEAM = NeutronBeam(90.0)
@@ -152,3 +154,196 @@ def test_ribbon_skips_non_finite_intensity():
     svg = svgplot.ribbon_svg(bad)
     assert "nan" not in svg and "inf" not in svg
     assert svg == svgplot.ribbon_svg(points)
+
+
+# --- reduce_spectrum and centroid_ke before the trajectory memo and the lean
+# centroid path: a Spectrum wrapper around the intensities, np.gradient and
+# np.sum moments, and a chi^2-scaled stderr that the sandwich then replaces.
+
+def ref_trajectory_arrays(cfg, det_index):
+    geom = cfg.detectors[det_index]
+    beam = cfg.beam
+    t = cfg.tof_bins.centers
+    remain_us = (t - geom.t0) - geom.l0 / beam.v0 / C.US_S
+    valid = remain_us > 0
+    safe = np.where(valid, remain_us, np.nan)
+    v1 = geom.l1 / (safe * C.US_S)
+    k1 = v1 / C.VEL_PER_WAVENUMBER
+    e = C.NEUTRON_E_COEF * (beam.k0**2 - k1**2)
+    kk = np.sqrt(np.maximum(
+        beam.k0**2 + k1**2 - 2.0 * beam.k0 * k1 * math.cos(geom.theta), 0.0))
+    jac = 2.0 * C.NEUTRON_E_COEF * k1**2 / safe
+    return t, valid, v1, k1, e, kk, jac
+
+
+def ref_reduce_spectrum(spec, cfg, det_index, poisson_errors=False):
+    t, valid, v1, k1, e, kk, jac = ref_trajectory_arrays(cfg, det_index)
+    factor = (k1 / cfg.beam.k0) * jac * cfg.tof_bins.width
+    with np.errstate(invalid="ignore", divide="ignore"):
+        inten = np.where(valid, spec.counts / factor, 0.0)
+        err = None
+        if poisson_errors:
+            err = np.where(valid, np.sqrt(np.maximum(spec.counts, 1.0)) / factor, 0.0)
+    return analysis.ReducedDetector(spec.detector_index, t, kk, e, inten, err,
+                                    np.asarray(spec.counts, dtype=float),
+                                    np.where(valid, factor, np.nan))
+
+
+def ref_gauss_jac(e, amp, center, width):
+    u = (e - center) / width
+    jac = np.empty((len(e), 3), order="F")
+    jac[:, 0] = np.exp(-0.5 * u * u)
+    jac[:, 1] = (amp / width) * jac[:, 0] * u
+    jac[:, 2] = jac[:, 1] * u
+    return jac
+
+
+def ref_moments(e, y):
+    de = np.gradient(e)
+    tot = np.sum(y * de)
+    c = float(np.sum(e * y * de) / tot)
+    w = math.sqrt(max(float(np.sum((e - c) ** 2 * y * de) / tot), 0.0))
+    return c, w
+
+
+def ref_auto_window(e, y):
+    fin = np.isfinite(e)
+    if not fin.all():
+        e, y = e[fin], y[fin]
+    c, w = ref_moments(e, y)
+    for _ in range(2):
+        mask = (e >= c - 3.0 * w) & (e <= c + 3.0 * w)
+        if np.count_nonzero(mask) < 5:
+            break
+        c, w = ref_moments(e[mask], y[mask])
+    return c - 3.0 * w, c + 3.0 * w
+
+
+def ref_peak_centroid(spec, energy_axis, window=None):
+    e = np.asarray(energy_axis, dtype=float)
+    y = np.asarray(spec.counts, dtype=float)
+    lo, hi = ref_auto_window(e, y) if window is None else window
+    mask = (e >= lo) & (e <= hi)
+    ew, yw = e[mask], y[mask]
+    de = np.gradient(ew)
+    tot = np.sum(yw * de)
+    first = float(np.sum(ew * yw * de) / tot)
+    var = float(np.sum((ew - first) ** 2 * yw * de) / tot)
+    width0 = math.sqrt(max(var, (ew[1] - ew[0]) ** 2 / 12.0))
+
+    def residuals(p):
+        jac = ref_gauss_jac(ew, *p)
+        return p[0] * jac[:, 0] - yw, jac
+
+    popt, wres, wjac = analysis._levenberg_marquardt(
+        residuals, [float(yw.max()), first, width0])
+    cov = np.linalg.inv(wjac.T @ wjac)
+    cov *= float(wres @ wres) / (len(yw) - len(popt))
+    return analysis.PeakFit(float(popt[1]), abs(float(popt[2])), float(popt[0]),
+                            float(np.linalg.norm(wres)), first_moment=first,
+                            centroid_err=float(math.sqrt(abs(cov[1, 1]))))
+
+
+def ref_centroid_ke(red, window=None):
+    spec_like = spectra.Spectrum(red.detector_index,
+                                 np.arange(len(red.intensity) + 1, dtype=float),
+                                 np.maximum(red.intensity, 0.0))
+    fit = ref_peak_centroid(spec_like, red.e, window=window)
+    if red.intensity_err is not None and red.factor is not None:
+        lo, hi = window if window is not None else \
+            (fit.centroid - 3.0 * fit.width, fit.centroid + 3.0 * fit.width)
+        mask = (red.e >= lo) & (red.e <= hi) & np.isfinite(red.factor)
+        if np.count_nonzero(mask) >= 5:
+            ew = red.e[mask]
+            jac = ref_gauss_jac(ew, fit.amplitude, fit.centroid, fit.width)
+            model_counts = fit.amplitude * jac[:, 0] * red.factor[mask]
+            var_i = np.maximum(model_counts, 1.0) / red.factor[mask] ** 2
+            jtj_inv = np.linalg.inv(jac.T @ jac)
+            cov = jtj_inv @ ((jac.T * var_i) @ jac) @ jtj_inv
+            fit = replace(fit, centroid_err=float(math.sqrt(abs(cov[1, 1]))))
+    fin = np.isfinite(red.e)
+    k_at = float(np.interp(fit.centroid, red.e[fin], red.k[fin]))
+    sigma = fit.centroid_err if (fit.centroid_err and fit.centroid_err > 0) else None
+    return KEPoint(k_at, fit.centroid, sigma), fit
+
+
+def h2_bank(n_bins=2048):
+    """The Monte-Carlo H2 bank: 8..28 degrees in 2-degree steps, M_eff = 0.64."""
+    lam = 2.0 * (1.0 - math.sqrt(0.64 / 2.01))
+    sample = spectra.SampleModel(2.01, h2_sample().momentum_dist, 14.7,
+                                 spectra.DeficitInjection(lam, 1.0))
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a)) for a in range(8, 29, 2))
+    bins = spectra.recoil_tof_window(BEAM, dets, sample, 0.3, n_bins=n_bins)
+    return spectra.InstrumentConfig(BEAM, dets, bins), sample
+
+
+def reduced_bytes(red):
+    return [None if a is None else np.asarray(a).tobytes()
+            for a in (red.t, red.k, red.e, red.intensity, red.intensity_err,
+                      red.counts, red.factor)] + [red.detector_index]
+
+
+def assert_same_reduction_and_centroid(spec, cfg, d, poisson_errors, window=None):
+    red = analysis.reduce_spectrum(spec, cfg, d, poisson_errors=poisson_errors)
+    ref = ref_reduce_spectrum(spec, cfg, d, poisson_errors=poisson_errors)
+    assert reduced_bytes(red) == reduced_bytes(ref)
+    got = analysis.centroid_ke(red, window)
+    want = ref_centroid_ke(ref, window)
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("poisson", [True, False], ids=["poisson", "noiseless"])
+def test_h2_bank_reduction_and_centroids_match_reference(poisson):
+    cfg, sample = h2_bank()
+    for d in range(len(cfg.detectors)):
+        spec = spectra.simulate_spectrum(cfg, sample, d)
+        if poisson:
+            spec = spectra.poisson_sample(spec, 200000, seed=100 + d)
+        # noiseless: no count errors, so the stderr is the chi^2-scaled one
+        assert_same_reduction_and_centroid(spec, cfg, d, poisson_errors=poisson)
+
+
+def test_explicit_window_matches_reference():
+    cfg, sample = h2_bank()
+    spec = spectra.poisson_sample(spectra.simulate_spectrum(cfg, sample, 2), 200000, seed=9)
+    auto = assert_same_reduction_and_centroid(spec, cfg, 2, True)[1]
+    window = (auto.centroid - 2.0 * auto.width, auto.centroid + 2.5 * auto.width)
+    assert_same_reduction_and_centroid(spec, cfg, 2, True, window)
+
+
+def test_leading_nan_energy_bins_match_reference():
+    cfg, sample = h2_bank()
+    d = 0
+    spec = spectra.poisson_sample(spectra.simulate_spectrum(cfg, sample, d), 200000, seed=5)
+    bins = cfg.tof_bins
+    t_floor = 11.6 / BEAM.v0 / C.US_S
+    extra = math.ceil((bins.t_min - t_floor) / bins.width) + 30
+    wide = spectra.TofBinning(bins.t_min - extra * bins.width, bins.t_max,
+                              bins.n_bins + extra)
+    wide_cfg = spectra.InstrumentConfig(BEAM, cfg.detectors, wide)
+    wide_spec = spectra.Spectrum(d, wide.edges,
+                                 np.concatenate([np.zeros(extra), spec.counts]))
+    assert np.count_nonzero(np.isnan(analysis.reduce_spectrum(wide_spec, wide_cfg, d).e)) >= 30
+    assert_same_reduction_and_centroid(wide_spec, wide_cfg, d, True)
+
+
+def test_chi2_stderr_fallback_matches_reference():
+    # count errors without the per-bin factor: the sandwich cannot be formed
+    cfg, sample = h2_bank()
+    spec = spectra.poisson_sample(spectra.simulate_spectrum(cfg, sample, 4), 200000, seed=6)
+    red = replace(analysis.reduce_spectrum(spec, cfg, 4, poisson_errors=True), factor=None)
+    got, want = analysis.centroid_ke(red), ref_centroid_ke(red)
+    assert repr(got) == repr(want)
+    sandwich = analysis.centroid_ke(replace(red, factor=ref_reduce_spectrum(
+        spec, cfg, 4, True).factor))
+    assert sandwich[0].sigma_e != got[0].sigma_e
+
+
+@pytest.mark.parametrize("axis", ["uniform", "nonuniform"])
+def test_spacing_matches_np_gradient(axis):
+    rng = np.random.default_rng(3)
+    for n in range(2, 40):
+        x = np.linspace(-3.0, 7.0, n) if axis == "uniform" \
+            else np.cumsum(rng.uniform(0.01, 2.0, n)) - 5.0
+        assert analysis._spacing(x).tobytes() == np.gradient(x).tobytes()

@@ -9,6 +9,7 @@ import pytest
 
 import wmscatter.analysis as analysis
 from wmscatter import constants as C
+from wmscatter import spectra
 from wmscatter.errors import NonPositiveK, UnphysicalTOF
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam, k_transfer
 from wmscatter.qstate import MixedState, WaveFunction, gaussian_state, grid_for_gaussians, shift
@@ -191,6 +192,39 @@ def test_trajectory_flags_unphysical_bins():
             assert math.isnan(pt.e)
     with pytest.raises(UnphysicalTOF):
         simulate_spectrum(cfg, make_sample(0.3, 1.0079), 0)
+
+
+# --- the trajectory memo ----------------------------------------------------------
+
+def test_memoised_trajectory_is_read_only():
+    cfg = arcs_like_instrument(theta_deg=[35], n_bins=64)
+    red = analysis.reduce_spectrum(Spectrum(0, cfg.tof_bins.edges, np.ones(64)), cfg, 0)
+    for arr in spectra._trajectory_arrays(cfg, 0) + (red.t, red.k, red.e, red.factor):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_geometry_from_spectrum_file_hits_the_simulated_entry(tmp_path):
+    sample = make_sample(0.3, 2.01, e_rot=14.7)
+    cfg = one_detector_cfg(17.3, sample, 0.3, n_bins=128)
+    spec = poisson_sample(simulate_spectrum(cfg, sample, 0), 5000, seed=2)
+    write_spectrum_csv(spec, tmp_path / "spec.csv")
+    back = analysis.ingest_spectrum(tmp_path / "spec.csv")
+    before = spectra._trajectory.cache_info()
+    red = analysis.reduce_spectrum(back, poisson_errors=True)   # geometry from metadata
+    after = spectra._trajectory.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert red.e is spectra._trajectory_arrays(cfg, 0)[3]
+
+
+def test_trajectory_memo_stays_bounded():
+    info = spectra._trajectory.cache_info()
+    assert info.maxsize == spectra.TRAJECTORY_MEMO_SIZE >= 11
+    cfg = arcs_like_instrument(theta_deg=range(10, 130, 5), n_bins=32)
+    assert len(cfg.detectors) > spectra.TRAJECTORY_MEMO_SIZE
+    for d in range(len(cfg.detectors)):
+        detector_trajectory(cfg, d)
+        assert spectra._trajectory.cache_info().currsize <= spectra.TRAJECTORY_MEMO_SIZE
 
 
 # --- recoil peak location helpers ----------------------------------------------
