@@ -35,10 +35,10 @@ from .kinematics import (
     effective_mass_bound_check,
     elastic_ratio,
     energy_transfer,
-    invert_tof,
     k_transfer,
     recoil_energy,
     tof,
+    trajectory,
 )
 from .qstate import (
     MixedState,
@@ -59,7 +59,6 @@ from .spectra import (
     Spectrum,
     TofBinning,
     arcs_like_instrument,
-    detector_trajectory,
     momentum_density,
     poisson_sample,
     s_ia,

@@ -29,8 +29,15 @@ from .errors import (
     NonConvergence,
     ParseError,
     Underdetermined,
+    UnknownDetector,
 )
-from .kinematics import KEPoint, effective_mass_bound_check
+from .kinematics import (
+    KEPoint,
+    effective_mass_bound_check,
+    recoil_energy,
+    tof,
+    trajectory,
+)
 from .spectra import (
     SPECTRUM_COLUMNS,
     InstrumentConfig,
@@ -457,39 +464,6 @@ AUDIT_PRIOR_E0_FRACTION = 0.01
 AUDIT_MAX_SIGMAS = 3.0
 
 
-def _peak_tof(cfg: InstrumentConfig, det_index: int, e_centroid: float) -> float:
-    """TOF position [us] of an energy-transfer centroid under a given config."""
-    geom = cfg.detectors[det_index]
-    e1 = cfg.beam.e0 - e_centroid
-    if e1 <= 0:
-        raise ValueError(f"centroid {e_centroid} meV exceeds the incident energy")
-    v1 = C.neutron_speed(e1)
-    return (geom.l0 / cfg.beam.v0 + geom.l1 / v1) / C.US_S + geom.t0
-
-
-def _ke_under(cfg, det_index, t_peak, deltas):
-    geom = cfg.detectors[det_index]
-    e0 = cfg.beam.e0 + deltas.get("E0", 0.0)
-    if e0 <= 0:
-        return None
-    v0 = C.neutron_speed(e0)
-    k0 = C.neutron_wavenumber(e0)
-    l0 = geom.l0 + deltas.get("L0", 0.0)
-    l1 = geom.l1 + deltas.get("L1", 0.0)
-    t0 = geom.t0 + deltas.get("t0", 0.0)
-    theta = geom.theta + deltas.get("theta", 0.0)
-    if l0 <= 0 or l1 <= 0:
-        return None
-    remain = (t_peak - t0) * C.US_S - l0 / v0
-    if remain <= 0:
-        return None
-    v1 = l1 / remain
-    k1 = v1 / C.VEL_PER_WAVENUMBER
-    e = C.NEUTRON_E_COEF * (k0**2 - k1**2)
-    kk = math.sqrt(max(k0**2 + k1**2 - 2 * k0 * k1 * math.cos(theta), 0.0))
-    return kk, e
-
-
 def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
                       free_params=(), masking_tol: float = 0.01) -> CalibrationReport:
     """Adjust chosen instrument parameters so the observed peak positions land
@@ -498,9 +472,11 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
     observed_peaks: sequence of (detector_index, PeakFit) with energy-domain
     centroids referred to cfg.  They are converted once to their (fixed,
     map-independent) TOF positions; the chosen parameter deltas (shared across
-    detectors) are then fitted by least squares.  masking_flag reports whether
-    the refitted mass agrees with assumed_m within masking_tol and every
-    delta lies within AUDIT_MAX_SIGMAS of its prior, i.e. whether a plausible
+    detectors) are then fitted by least squares, every peak mapped back to
+    (K, E) by one trajectory call; a peak the shifted calibration cannot map
+    gets a 1e6 residual and no refit point.  masking_flag reports whether the
+    refitted mass agrees with assumed_m within masking_tol and every delta
+    lies within AUDIT_MAX_SIGMAS of its prior, i.e. whether a plausible
     recalibration has absorbed whatever anomaly was present.  Each free delta
     x_j adds the prior residual x_j / sigma_j to the fit, so residual_norm
     includes those terms.
@@ -513,23 +489,36 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
     if len(free) > len(peaks):
         raise Underdetermined(
             f"{len(free)} free parameters but only {len(peaks)} peaks")
-    t_peaks = [(d, _peak_tof(cfg, d, pf.centroid),
-                pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0) else 1.0)
-               for d, pf in peaks]
-    prior = {**AUDIT_PRIOR_SIGMA, "E0": AUDIT_PRIOR_E0_FRACTION * cfg.beam.e0}
+    beam, dets = cfg.beam, cfg.detectors
+    for d, pf in peaks:
+        if not 0 <= d < len(dets):
+            raise UnknownDetector(f"no detector {d} among the instrument's {len(dets)}")
+        if pf.centroid >= beam.e0:
+            raise ValueError(f"centroid {pf.centroid} meV exceeds the incident energy")
+    t_peak = np.array([tof(dets[d], beam.v0, C.neutron_speed(beam.e0 - pf.centroid))
+                       for d, pf in peaks])
+    base = {name: np.array([getattr(dets[d], name.lower()) for d, _ in peaks])
+            for name in ("L0", "L1", "theta", "t0")}
+    sig = np.array([pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0)
+                    else 1.0 for _, pf in peaks])
+    prior = {**AUDIT_PRIOR_SIGMA, "E0": AUDIT_PRIOR_E0_FRACTION * beam.e0}
     free_prior = np.array([prior[name] for name in free])
 
+    def mapped(x):
+        """(valid, E, K) of every peak under the calibration deltas x."""
+        shift = dict(zip(free, x))
+        e0 = beam.e0 + shift.get("E0", 0.0)
+        if e0 <= 0:
+            nan = np.full_like(t_peak, np.nan)
+            return np.zeros(len(peaks), bool), nan, nan
+        geo = [base[name] + shift.get(name, 0.0) for name in base]
+        valid, _, e, kk, _ = trajectory(e0, *geo, t_peak)
+        return valid, e, kk
+
     def residuals(x):
-        deltas = dict(zip(free, x))
-        out = []
-        for d, tp, sig in t_peaks:
-            ke = _ke_under(cfg, d, tp, deltas)
-            if ke is None:
-                out.append(1e6)
-                continue
-            kk, e = ke
-            out.append((e - C.ATOM_E_COEF * kk**2 / assumed_m) / sig)
-        return np.concatenate([out, x / free_prior])
+        valid, e, kk = mapped(x)
+        data = np.where(valid, (e - recoil_energy(kk, assumed_m)) / sig, 1e6)
+        return np.concatenate([data, x / free_prior])
 
     def residuals_and_jacobian(x):
         r = residuals(x)
@@ -540,22 +529,18 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
             jac[:, j] = (residuals(shifted) - r) / (shifted[j] - x[j])
         return r, jac
 
-    deltas = {name: 0.0 for name in AUDIT_PARAMS}
-    resid_norm = float(np.linalg.norm(residuals(np.zeros(len(free)))))
+    x = np.zeros(len(free))
+    resid_norm = float(np.linalg.norm(residuals(x)))
     if free:
         try:
-            x, r, _ = _levenberg_marquardt(residuals_and_jacobian, np.zeros(len(free)))
+            x, r, _ = _levenberg_marquardt(residuals_and_jacobian, x)
         except NonConvergence as exc:
             raise NonConvergence(f"calibration adjustment failed: {exc}") from exc
-        deltas.update(dict(zip(free, (float(v) for v in x))))
         resid_norm = float(np.linalg.norm(r))
-    fit_points = []
-    use = {k: v for k, v in deltas.items() if k in free}
-    for d, tp, sig in t_peaks:
-        ke = _ke_under(cfg, d, tp, use)
-        if ke is not None:
-            fit_points.append(KEPoint(ke[0], ke[1], sig if sig != 1.0 else None))
-    refit = fit_recoil_mass(fit_points)
+    deltas = {name: 0.0 for name in AUDIT_PARAMS} | dict(zip(free, x.tolist()))
+    valid, e, kk = mapped(x)
+    refit = fit_recoil_mass([KEPoint(kk[i], e[i], sig[i] if sig[i] != 1.0 else None)
+                             for i in np.flatnonzero(valid)])
     sigmas = {name: deltas[name] / prior[name] for name in AUDIT_PARAMS}
     masking = bool(abs(refit.m_eff - assumed_m) / assumed_m < masking_tol
                    and all(abs(v) <= AUDIT_MAX_SIGMAS for v in sigmas.values()))
@@ -655,5 +640,10 @@ def read_centroids_csv(path):
             sig = float(parts[3]) if parts[3].strip() else None
         except ValueError:
             raise ParseError(i, f"non-numeric row {line!r}") from None
+        if d < 0:
+            raise ParseError(i, f"negative detector index {d}")
+        if not (math.isfinite(k) and math.isfinite(e)
+                and (sig is None or math.isfinite(sig))):
+            raise ParseError(i, f"non-finite value in row {line!r}")
         out.append((d, KEPoint(k, e, sig)))
     return meta, out

@@ -4,8 +4,9 @@ Subcommands: weakvalue, simulate, reduce, fit, audit, plot.  All numeric
 output is full-double-precision JSON (human tables round to 4 significant
 digits); the seed is echoed in every product.
 
-Exit codes: 0 success, 2 invalid arguments or config parse failure,
-3 orthogonal post-selection, 4 unphysical TOF range, 1 other library errors
+Exit codes: 0 success, 2 invalid arguments, config parse failure or a
+centroid of a detector the instrument lacks, 3 orthogonal post-selection,
+4 unphysical TOF range, 1 other library errors
 (for reduce, any input that failed; centroids.csv lists them and the rest).
 """
 
@@ -25,6 +26,7 @@ from .errors import (
     MissingMetadata,
     OrthogonalSelection,
     ParseError,
+    UnknownDetector,
     UnphysicalTOF,
     WmScatterError,
 )
@@ -320,7 +322,7 @@ def main(argv=None):
     except UnphysicalTOF as exc:
         print(f"error: unphysical TOF range: {exc}", file=sys.stderr)
         return 4
-    except (ParseError, MissingMetadata, FileNotFoundError,
+    except (ParseError, MissingMetadata, UnknownDetector, FileNotFoundError,
             json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,11 +58,6 @@ def neutron_energy_from_speed(v_ms):
     return v_ms**2 / VEL_SQ_PER_MEV
 
 
-def wavenumber_from_speed(v_ms):
-    """Neutron wavenumber [1/A] from speed in m/s."""
-    return v_ms / VEL_PER_WAVENUMBER
-
-
 def constants_table():
     """All pinned and derived constants as a flat dict (for JSON audit dumps)."""
     return {

@@ -93,6 +93,10 @@ class Underdetermined(WmScatterError):
     """More free calibration parameters than constraining peaks."""
 
 
+class UnknownDetector(WmScatterError):
+    """A peak names a detector index the instrument does not have."""
+
+
 class ParseError(WmScatterError):
     """Malformed row in an ingested file; carries the 1-based line number."""
 

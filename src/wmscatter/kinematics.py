@@ -1,8 +1,10 @@
-"""Exact scalar algebra of time-of-flight two-body scattering.
+"""Exact algebra of time-of-flight two-body scattering.
 
 Flight paths in meters, times in microseconds, energies in meV, wavenumbers
 in 1/Angstrom, masses in a.m.u., angles in radians (degrees only at the CLI
-boundary).  All functions are stateless and thread-safe.
+boundary).  The TOF and transfer functions broadcast over numpy arrays;
+trajectory is the one TOF -> (k1, E, K, dE/dt) map of the simulator, the
+reducer and the calibration audit.  All functions are stateless.
 """
 
 from __future__ import annotations
@@ -10,13 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import constants as C
-from .errors import (
-    KinematicallyForbidden,
-    NonPositiveMass,
-    NonPositiveSpeed,
-    UnphysicalTOF,
-)
+from .errors import KinematicallyForbidden, NonPositiveMass, NonPositiveSpeed
 
 
 @dataclass(frozen=True)
@@ -76,32 +75,43 @@ class KEPoint:
             raise ValueError("K must be nonnegative")
 
 
-def tof(geom: DetectorGeometry, v0: float, v1: float) -> float:
-    """Total time-of-flight L0/v0 + L1/v1 + t0 in microseconds."""
-    if v0 <= 0 or v1 <= 0:
+def tof(geom: DetectorGeometry, v0, v1):
+    """Total time-of-flight L0/v0 + L1/v1 + t0 in microseconds; v1 = inf gives
+    the incident neutron's arrival time."""
+    if np.any(np.less_equal(v0, 0)) or np.any(np.less_equal(v1, 0)):
         raise NonPositiveSpeed("speeds must be positive")
     return (geom.l0 / v0 + geom.l1 / v1) / C.US_S + geom.t0
 
 
-def invert_tof(geom: DetectorGeometry, beam: NeutronBeam, t: float) -> float:
-    """Final speed v1 [m/s] from a measured TOF value [us]."""
-    remain_s = (t - geom.t0) * C.US_S - geom.l0 / beam.v0
-    if remain_s <= 0:
-        raise UnphysicalTOF(
-            f"t = {t} us leaves no time for the scattered flight path "
-            f"(incident leg alone takes {geom.l0 / beam.v0 / C.US_S + geom.t0:.3f} us)")
-    return geom.l1 / remain_s
-
-
-def energy_transfer(k0: float, k1: float) -> float:
+def energy_transfer(k0, k1):
     """Neutron energy loss hbar*omega = C_E (k0^2 - k1^2) in meV."""
     return C.NEUTRON_E_COEF * (k0**2 - k1**2)
 
 
-def k_transfer(k0: float, k1: float, theta: float) -> float:
+def k_transfer(k0, k1, theta):
     """Momentum-transfer magnitude K = sqrt(k0^2 + k1^2 - 2 k0 k1 cos theta)."""
-    val = k0**2 + k1**2 - 2.0 * k0 * k1 * math.cos(theta)
-    return math.sqrt(max(val, 0.0))
+    return np.sqrt(np.maximum(k0**2 + k1**2 - 2.0 * k0 * k1 * np.cos(theta), 0.0))
+
+
+def energy_rate(k1, t_leg):
+    """|dE/dt| = 2 C_E k1^2 / t_leg [meV/us], t_leg the scattered flight time."""
+    return 2.0 * C.NEUTRON_E_COEF * k1**2 / t_leg
+
+
+def trajectory(e0: float, l0, l1, theta, t0, t):
+    """(valid, k1, E, K, dE/dt) at TOF t [us] for incident energy e0 [meV].
+
+    All but the scalar e0 broadcast: (n_det, 1) geometry against (n_bins,) t
+    gives (n_det, n_bins) arrays.  valid needs positive flight paths and a TOF
+    after the incident arrival; k1, E, K and dE/dt are nan elsewhere."""
+    v0 = C.neutron_speed(e0)
+    k0 = C.neutron_wavenumber(e0)
+    remain_us = (t - t0) - l0 / v0 / C.US_S
+    valid = (remain_us > 0) & (np.greater(l0, 0) & np.greater(l1, 0))
+    safe = np.where(valid, remain_us, np.nan)
+    k1 = l1 / (safe * C.US_S) / C.VEL_PER_WAVENUMBER
+    return (valid, k1, energy_transfer(k0, k1), k_transfer(k0, k1, theta),
+            energy_rate(k1, safe))
 
 
 def elastic_ratio(mass_ratio: float, theta: float) -> float:
@@ -118,8 +128,8 @@ def elastic_ratio(mass_ratio: float, theta: float) -> float:
     return (math.cos(theta) + math.sqrt(disc)) / (mass_ratio + 1.0)
 
 
-def recoil_energy(k: float, mass_amu: float) -> float:
-    """Free recoil energy (hbar K)^2 / 2M in meV."""
+def recoil_energy(k, mass_amu: float):
+    """Free recoil energy (hbar K)^2 / 2M = C_A K^2 / M in meV."""
     if mass_amu <= 0:
         raise NonPositiveMass("mass must be positive")
     return C.ATOM_E_COEF * k**2 / mass_amu

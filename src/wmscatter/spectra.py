@@ -32,9 +32,13 @@ from . import constants as C
 from .errors import NonPositiveK, NotNormalized, UnphysicalTOF
 from .kinematics import (
     DetectorGeometry,
-    KEPoint,
     NeutronBeam,
+    doppler_term,
+    energy_rate,
     k_transfer,
+    recoil_energy,
+    tof,
+    trajectory,
 )
 from .qstate import MixedState, WaveFunction, expectation_p
 from .tablefile import write_table
@@ -174,33 +178,21 @@ def momentum_density(state) -> TabulatedDensity:
     return TabulatedDensity(state.grid.points, n)
 
 
-def s_ia(k: float, omega_grid, density: TabulatedDensity, mass: float):
+def s_ia(k, omega_grid, density: TabulatedDensity, mass: float):
     """Impulse-approximation S(K, E) tabulated on the given energy grid [meV].
 
-    Normalized so that the integral over E is 1 (delta-function reduction).
+    k is one K or one per grid point (a detector trajectory).  Normalized so
+    that the integral over E is 1 for each K (delta-function reduction).
     """
-    if k <= 0:
+    if np.any(np.less_equal(k, 0)):
         raise NonPositiveK("K must be positive")
     if mass <= 0:
         raise ValueError("mass must be positive")
     omega_grid = np.asarray(omega_grid, dtype=float)
-    e_rec = C.ATOM_E_COEF * k**2 / mass
+    e_rec = recoil_energy(k, mass)
     jac = mass / (2.0 * C.ATOM_E_COEF * k)   # dP/dE on the shell
     p_star = (omega_grid - e_rec) * jac
     return density(p_star) * jac
-
-
-def detector_trajectory(cfg: InstrumentConfig, det_index: int):
-    """(K, E) along one detector's TOF bin centers.
-
-    Returns (points, valid): a list of KEPoint (placeholder nan-energy points
-    where the TOF is unphysical) and a boolean mask flagging usable bins.
-    Unphysical bins are flagged, never silently dropped.
-    """
-    _, valid, _, e, kk, _, _ = _trajectory_arrays(cfg, det_index)
-    points = [KEPoint(k, en) if ok else KEPoint(0.0, float("nan"))
-              for k, en, ok in zip(kk.tolist(), e.tolist(), valid.tolist())]
-    return points, valid
 
 
 # Trajectories kept by _trajectory: one per detector of the 11-detector H2
@@ -223,15 +215,8 @@ def _trajectory(beam, geom, bins):
     """Memoised on what the trajectory depends on, so a geometry rebuilt from
     spectrum-file metadata finds the entry its simulation filled."""
     t = bins.centers
-    remain_us = (t - geom.t0) - geom.l0 / beam.v0 / C.US_S
-    valid = remain_us > 0
-    safe = np.where(valid, remain_us, np.nan)
-    v1 = geom.l1 / (safe * C.US_S)
-    k1 = v1 / C.VEL_PER_WAVENUMBER
-    e = C.NEUTRON_E_COEF * (beam.k0**2 - k1**2)
-    kk = np.sqrt(np.maximum(
-        beam.k0**2 + k1**2 - 2.0 * beam.k0 * k1 * math.cos(geom.theta), 0.0))
-    jac = 2.0 * C.NEUTRON_E_COEF * k1**2 / safe   # dE/dt in meV/us
+    valid, k1, e, kk, jac = trajectory(beam.e0, geom.l0, geom.l1, geom.theta,
+                                       geom.t0, t)
     factor = np.where(valid, (k1 / beam.k0) * jac * bins.width, np.nan)
     out = (t, valid, k1, e, kk, jac, factor)
     for a in out:
@@ -253,13 +238,9 @@ def simulate_spectrum(cfg: InstrumentConfig, sample: SampleModel,
         raise UnphysicalTOF(
             f"detector {det_index}: TOF bin at {t[bad]:.1f} us precedes the "
             "incident flight time; shrink the TOF window")
-    density = momentum_density(sample.momentum_dist)
     k_atom = kk / sample.deficit.k_scale if sample.deficit else kk
-    e_trans = e - sample.e_rot
-    e_rec = C.ATOM_E_COEF * k_atom**2 / sample.mass
-    shell_jac = sample.mass / (2.0 * C.ATOM_E_COEF * k_atom)
-    p_star = (e_trans - e_rec) * shell_jac
-    s_vals = density(p_star) * shell_jac
+    s_vals = s_ia(k_atom, e - sample.e_rot, momentum_density(sample.momentum_dist),
+                  sample.mass)
     counts = (k1 / cfg.beam.k0) * s_vals * jac * cfg.tof_bins.width
     meta = {
         "schema": 1,
@@ -343,14 +324,6 @@ def recoil_peak_k1(beam: NeutronBeam, theta: float, mass_eff: float,
     return k1
 
 
-def peak_tof(beam: NeutronBeam, geom: DetectorGeometry, sample: SampleModel) -> float:
-    """TOF [us] of the recoil-peak center for this detector and sample."""
-    m_eff = sample.mass * (sample.deficit.k_scale**2 if sample.deficit else 1.0)
-    k1 = recoil_peak_k1(beam, geom.theta, m_eff, sample.e_rot)
-    v1 = k1 * C.VEL_PER_WAVENUMBER
-    return (geom.l0 / beam.v0 + geom.l1 / v1) / C.US_S + geom.t0
-
-
 def recoil_tof_window(beam: NeutronBeam, detectors, sample: SampleModel,
                       sigma_p: float, margin_sigmas: float = 8.0,
                       n_bins: int = 512) -> TofBinning:
@@ -363,17 +336,16 @@ def recoil_tof_window(beam: NeutronBeam, detectors, sample: SampleModel,
     k_scale = sample.deficit.k_scale if sample.deficit else 1.0
     m_eff = sample.mass * k_scale**2
     for geom in detectors:
-        tp = peak_tof(beam, geom, sample)
         k1 = recoil_peak_k1(beam, geom.theta, m_eff, sample.e_rot)
+        tp = tof(geom, beam.v0, k1 * C.VEL_PER_WAVENUMBER)   # the peak center
         kk = k_transfer(beam.k0, k1, geom.theta) / k_scale   # atom-side K
-        sigma_e = 2.0 * C.ATOM_E_COEF * kk * sigma_p / sample.mass
+        sigma_e = doppler_term(kk, sigma_p, sample.mass)
         t_leg = tp - geom.t0 - geom.l0 / beam.v0 / C.US_S
-        jac = 2.0 * C.NEUTRON_E_COEF * k1**2 / t_leg    # meV per us
-        dt = margin_sigmas * sigma_e / jac
+        dt = margin_sigmas * sigma_e / energy_rate(k1, t_leg)
         t_lo = min(t_lo, tp - dt)
         t_hi = max(t_hi, tp + dt)
     # every bin must stay invertible for every detector
-    t_floor = max(g.t0 + g.l0 / beam.v0 / C.US_S for g in detectors)
+    t_floor = max(tof(g, beam.v0, math.inf) for g in detectors)
     t_lo = max(t_lo, t_floor + 1.0)
     return TofBinning(t_lo, t_hi, n_bins)
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from . import constants as C
+from .kinematics import recoil_energy
 
 WIDTH, HEIGHT = 640, 480
 MARGIN = 56
@@ -30,8 +30,7 @@ class _Axes:
 def _parabola_path(ax, mass, e_rot=0.0, n=120):
     ks = np.linspace(max(ax.k0, 1e-6), ax.k1, n)
     pts = []
-    for k in ks:
-        e = e_rot + C.ATOM_E_COEF * k**2 / mass
+    for k, e in zip(ks, e_rot + recoil_energy(ks, mass)):
         if ax.e0 <= e <= ax.e1:
             pts.append(f"{ax.x(k):.2f},{ax.y(e):.2f}")
     return " ".join(pts)

@@ -439,6 +439,24 @@ def test_ingest_missing_metadata(tmp_path):
     assert len(spec.counts) == 3
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,3.0,nan,0.1", "non-finite value in row '1,3.0,nan,0.1'"),
+    ("1,nan,18.0,0.1", "non-finite value in row '1,nan,18.0,0.1'"),
+    ("1,3.0,18.0,inf", "non-finite value in row '1,3.0,18.0,inf'"),
+    ("-1,3.0,18.0,0.1", "negative detector index -1"),
+    ("1,3.0,18.0", "expected 4 fields, got 3"),
+    ("1,3.0,x,0.1", "non-numeric row '1,3.0,x,0.1'"),
+], ids=["nan-E", "nan-K", "inf-sigma", "negative-detector", "short-row",
+        "non-numeric"])
+def test_centroids_csv_rejects_bad_row(tmp_path, row, message):
+    path = tmp_path / "centroids.csv"
+    path.write_text('# {"schema": 1}\ndetector,K,E,sigma_E\n0,2.0,8.0,0.1\n'
+                    f"{row}\n2,4.0,30.0,\n")
+    with pytest.raises(ParseError) as err:
+        an.read_centroids_csv(path)
+    assert str(err.value) == f"line 4: {message}"
+
+
 def test_centroids_csv_roundtrip(tmp_path):
     recs = [(0, KEPoint(2.0, 8.0, 0.1)), (1, KEPoint(3.0, 18.0, None))]
     path = tmp_path / "centroids.csv"

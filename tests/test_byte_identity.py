@@ -11,6 +11,7 @@ import pytest
 
 from wmscatter import analysis, cli, spectra, svgplot
 from wmscatter import constants as C
+from wmscatter.errors import InsufficientPoints
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam
 from wmscatter.kinematics import KEPoint
 from wmscatter.qstate import gaussian_state, grid_for_gaussians
@@ -347,3 +348,126 @@ def test_spacing_matches_np_gradient(axis):
         x = np.linspace(-3.0, 7.0, n) if axis == "uniform" \
             else np.cumsum(rng.uniform(0.01, 2.0, n)) - 5.0
         assert analysis._spacing(x).tobytes() == np.gradient(x).tobytes()
+
+
+# --- the calibration audit before the trajectory kernel: one scalar TOF and
+# one scalar (K, E) per peak and residual evaluation.
+
+def ref_peak_tof(cfg, det_index, e_centroid):
+    geom = cfg.detectors[det_index]
+    v1 = C.neutron_speed(cfg.beam.e0 - e_centroid)
+    return (geom.l0 / cfg.beam.v0 + geom.l1 / v1) / C.US_S + geom.t0
+
+
+def ref_ke_under(cfg, det_index, t_peak, deltas):
+    geom = cfg.detectors[det_index]
+    e0 = cfg.beam.e0 + deltas.get("E0", 0.0)
+    if e0 <= 0:
+        return None
+    v0 = C.neutron_speed(e0)
+    k0 = C.neutron_wavenumber(e0)
+    l0 = geom.l0 + deltas.get("L0", 0.0)
+    l1 = geom.l1 + deltas.get("L1", 0.0)
+    t0 = geom.t0 + deltas.get("t0", 0.0)
+    theta = geom.theta + deltas.get("theta", 0.0)
+    if l0 <= 0 or l1 <= 0:
+        return None
+    remain = (t_peak - t0) * C.US_S - l0 / v0
+    if remain <= 0:
+        return None
+    k1 = l1 / remain / C.VEL_PER_WAVENUMBER
+    e = C.NEUTRON_E_COEF * (k0**2 - k1**2)
+    kk = math.sqrt(max(k0**2 + k1**2 - 2 * k0 * k1 * math.cos(theta), 0.0))
+    return kk, e
+
+
+def ref_audit_points(cfg, peaks, assumed_m, deltas):
+    """Per peak: the data residual (1e6 where the deltas leave no (K, E)) and
+    the KEPoint the refit uses (None there)."""
+    out = []
+    for d, pf in peaks:
+        sig = pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0) else 1.0
+        ke = ref_ke_under(cfg, d, ref_peak_tof(cfg, d, pf.centroid), deltas)
+        if ke is None:
+            out.append((1e6, None))
+        else:
+            out.append(((ke[1] - C.ATOM_E_COEF * ke[0]**2 / assumed_m) / sig,
+                        KEPoint(ke[0], ke[1], sig if sig != 1.0 else None)))
+    return out
+
+
+def h2_bank_peaks():
+    cfg, sample = h2_bank()
+    peaks = []
+    for d in range(len(cfg.detectors)):
+        spec = spectra.poisson_sample(spectra.simulate_spectrum(cfg, sample, d),
+                                      200000, seed=40 + d)
+        pt, _ = analysis.centroid_ke(analysis.reduce_spectrum(spec, cfg, d, True))
+        peaks.append((d, analysis.PeakFit(pt.e, 1.0, 1.0, 0.0, centroid_err=pt.sigma_e)))
+    return cfg, peaks
+
+
+def audit_at(monkeypatch, cfg, peaks, deltas):
+    """calibration_audit with every parameter of deltas free and a solver that
+    returns deltas as its solution: (report or raised error, data residuals)."""
+    free = tuple(deltas)
+    x = np.array([deltas[name] for name in free])
+    seen = {}
+
+    def solver(fun, x0):
+        r, jac = fun(x)
+        seen["r"] = r
+        return x, r, jac
+
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", solver)
+    try:
+        rep = analysis.calibration_audit(cfg, peaks, 2.01, free)
+    except InsufficientPoints as exc:
+        rep = exc
+    return rep, seen["r"][:len(peaks)]
+
+
+@pytest.mark.parametrize("deltas", [
+    {"t0": 0.0},
+    {"L1": -0.015, "theta": math.radians(0.7)},
+    {"L0": 0.02, "L1": -0.015, "t0": 1.5, "theta": math.radians(-0.4), "E0": 0.9},
+    {"L0": -1.58, "L1": -1.04, "t0": -56.7, "theta": 1.03, "E0": -22.6},
+], ids=["zero", "l1-theta", "all-small", "all-absurd"])
+def test_audit_residuals_match_scalar_reference(monkeypatch, deltas):
+    cfg, peaks = h2_bank_peaks()
+    rep, got = audit_at(monkeypatch, cfg, peaks, deltas)
+    ref = ref_audit_points(cfg, peaks, 2.01, deltas)
+    assert all(pt is not None for _, pt in ref)
+    np.testing.assert_allclose(got, [r for r, _ in ref], rtol=1e-12, atol=0.0)
+    want = analysis.fit_recoil_mass([pt for _, pt in ref])
+    assert rep.refit_mass == pytest.approx(want.m_eff, rel=1e-12)
+
+
+def test_audit_sentinels_match_scalar_reference(monkeypatch):
+    # alternate L0 and L1 so a shared delta turns half of the paths negative
+    cfg, peaks = h2_bank_peaks()
+    dets = tuple(replace(g, l0=(11.6, 9.0)[d % 2], l1=(4.0, 2.5)[d % 2])
+                 for d, g in enumerate(cfg.detectors))
+    cfg = replace(cfg, detectors=dets)
+    legs = [ref_peak_tof(cfg, d, pf.centroid) - 11.6 / BEAM.v0 / C.US_S
+            for d, pf in peaks if d % 2 == 0]
+    cases = [({"E0": -BEAM.e0 - 1.0}, range(11)),
+             ({"L0": -10.0}, range(1, 11, 2)),
+             ({"L1": -3.0}, range(1, 11, 2)),
+             ({"t0": 0.5 * (min(legs) + max(legs))}, None)]
+    for deltas, dropped in cases:
+        rep, got = audit_at(monkeypatch, cfg, peaks, deltas)
+        ref = ref_audit_points(cfg, peaks, 2.01, deltas)
+        gone = [d for d, (_, pt) in enumerate(ref) if pt is None]
+        if dropped is None:
+            assert 0 < len(gone) < 11
+        else:
+            assert gone == list(dropped), deltas
+        assert all(got[d] == 1e6 for d in gone)
+        kept = [d for d in range(11) if d not in gone]
+        np.testing.assert_allclose(got[kept], [ref[d][0] for d in kept], rtol=1e-12)
+        if len(kept) < 3:
+            assert isinstance(rep, InsufficientPoints), deltas
+        else:
+            want = analysis.fit_recoil_mass([ref[d][1] for d in kept])
+            assert rep.refit_mass == pytest.approx(want.m_eff, rel=1e-12), deltas

@@ -124,6 +124,16 @@ def test_reduce_records_failed_inputs_and_exits_1(h2_inputs, tmp_path, capsys):
     assert failure["error"].startswith("ParseError: ")
 
 
+def test_audit_of_an_unknown_detector_exits_2(h2_inputs, capsys):
+    tmp, inst, _ = h2_inputs
+    cen = tmp / "centroids.csv"
+    analysis.write_centroids_csv(
+        [(d, analysis.KEPoint(2.0 + d, 20.0 + 5.0 * d, 0.1)) for d in (0, 1, 5)], cen)
+    assert cli.main(["audit", "--instrument", inst, "--centroids", str(cen),
+                     "--free", "t0", "--assumed-m", "2.01"]) == 2
+    assert "detector 5" in capsys.readouterr().err
+
+
 def test_ke_file_needs_its_column_header(h2_inputs, tmp_path):
     tmp, inst, sample = h2_inputs
     run(["simulate", "--instrument", inst, "--sample", sample, "--out", tmp / "sim"])

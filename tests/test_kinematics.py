@@ -10,7 +10,6 @@ from wmscatter.errors import (
     KinematicallyForbidden,
     NonPositiveMass,
     NonPositiveSpeed,
-    UnphysicalTOF,
 )
 from wmscatter.kinematics import (
     DetectorGeometry,
@@ -21,10 +20,10 @@ from wmscatter.kinematics import (
     effective_mass_bound_check,
     elastic_ratio,
     energy_transfer,
-    invert_tof,
     k_transfer,
     recoil_energy,
     tof,
+    trajectory,
 )
 
 GEOM = DetectorGeometry(10.0, 4.0, math.radians(60.0), 0.0)
@@ -50,17 +49,26 @@ def test_tof_rejects_nonpositive_speed():
         tof(GEOM, 2000.0, 0.0)
 
 
+def final_speed(beam, geom, t):
+    """v1 [m/s] that the trajectory kernel recovers from a TOF value."""
+    valid, k1, *_ = trajectory(beam.e0, geom.l0, geom.l1, geom.theta, geom.t0, t)
+    return valid, k1 * C.VEL_PER_WAVENUMBER
+
+
 def test_invert_tof_inverse():
     beam = NeutronBeam(C.neutron_energy_from_speed(2000.0))
     t = tof(GEOM, beam.v0, 1000.0)
-    assert invert_tof(GEOM, beam, t) == pytest.approx(1000.0, rel=1e-12)
+    valid, v1 = final_speed(beam, GEOM, t)
+    assert valid
+    assert v1 == pytest.approx(1000.0, rel=1e-12)
 
 
 def test_invert_tof_singular_boundary():
     beam = NeutronBeam(25.0)
     t_edge = GEOM.t0 + GEOM.l0 / beam.v0 / C.US_S
-    with pytest.raises(UnphysicalTOF):
-        invert_tof(GEOM, beam, t_edge)
+    valid, *rest = trajectory(beam.e0, GEOM.l0, GEOM.l1, GEOM.theta, GEOM.t0, t_edge)
+    assert not valid
+    assert all(math.isnan(a) for a in rest)
 
 
 def test_tof_roundtrip_random():
@@ -72,7 +80,7 @@ def test_tof_roundtrip_random():
         v1 = rng.uniform(200, v0)
         beam = NeutronBeam(C.neutron_energy_from_speed(v0))
         t = tof(geom, beam.v0, v1)
-        assert invert_tof(geom, beam, t) == pytest.approx(v1, rel=1e-12)
+        assert final_speed(beam, geom, t)[1] == pytest.approx(v1, rel=1e-12)
 
 
 def test_energy_transfer_value_and_signs():
@@ -96,6 +104,35 @@ def test_k_transfer_triangle_bounds():
         theta = rng.uniform(0, math.pi)
         kk = k_transfer(k0, k1, theta)
         assert abs(k0 - k1) - 1e-12 <= kk <= k0 + k1 + 1e-12
+
+
+def test_transfer_functions_broadcast():
+    rng = np.random.default_rng(5)
+    k0 = rng.uniform(1.0, 8.0, 50)
+    k1 = rng.uniform(0.5, 8.0, (3, 50))
+    theta = rng.uniform(0.1, 3.0, (3, 1))
+    v1 = rng.uniform(200.0, 4000.0, 50)
+    for got, one in [
+            (k_transfer(k0, k1, theta), lambda i, j: k_transfer(k0[j], k1[i, j], theta[i, 0])),
+            (energy_transfer(k0, k1), lambda i, j: energy_transfer(k0[j], k1[i, j])),
+            (recoil_energy(k1, 2.01), lambda i, j: recoil_energy(k1[i, j], 2.01)),
+            (np.broadcast_to(tof(GEOM, 2000.0, v1), (3, 50)),
+             lambda i, j: tof(GEOM, 2000.0, v1[j]))]:
+        assert got.shape == (3, 50)
+        assert all(got[i, j] == one(i, j) for i in range(3) for j in range(50))
+    with pytest.raises(NonPositiveSpeed):
+        tof(GEOM, 2000.0, np.array([1000.0, -1.0]))
+
+
+def test_trajectory_needs_positive_flight_paths():
+    beam = NeutronBeam(90.0)
+    t = tof(GEOM, beam.v0, 1500.0)
+    valid, k1, e, kk, rate = trajectory(beam.e0, np.array([10.0, -1.0, 10.0]),
+                                        np.array([4.0, 4.0, 0.0]), GEOM.theta, 0.0, t)
+    assert valid.tolist() == [True, False, False]
+    for a in (k1, e, kk, rate):
+        assert np.isfinite(a[0]) and np.isnan(a[1:]).all()
+    assert k1[0] * C.VEL_PER_WAVENUMBER == pytest.approx(1500.0, rel=1e-12)
 
 
 def test_elastic_ratio_examples():

@@ -11,7 +11,7 @@ import wmscatter.analysis as analysis
 from wmscatter import constants as C
 from wmscatter import spectra
 from wmscatter.errors import NonPositiveK, UnphysicalTOF
-from wmscatter.kinematics import DetectorGeometry, NeutronBeam, k_transfer
+from wmscatter.kinematics import DetectorGeometry, NeutronBeam, k_transfer, tof, trajectory
 from wmscatter.qstate import MixedState, WaveFunction, gaussian_state, grid_for_gaussians, shift
 from wmscatter.spectra import (
     DeficitInjection,
@@ -20,11 +20,9 @@ from wmscatter.spectra import (
     Spectrum,
     TofBinning,
     arcs_like_instrument,
-    detector_trajectory,
     instrument_from_dict,
     instrument_to_dict,
     momentum_density,
-    peak_tof,
     poisson_sample,
     recoil_peak_k1,
     recoil_tof_window,
@@ -134,9 +132,19 @@ def test_s_ia_rejects_bad_k():
     dens = momentum_density(gaussian_state(grid, 0.0, 0.5))
     with pytest.raises(NonPositiveK):
         s_ia(0.0, np.linspace(0, 10, 64), dens, 1.0)
+    with pytest.raises(NonPositiveK):
+        s_ia(np.linspace(2.0, -0.5, 64), np.linspace(0, 10, 64), dens, 1.0)
 
 
 # --- detector trajectories ---------------------------------------------------------
+
+def kernel_trajectory(cfg, det_index):
+    """(valid, E, K) along one detector's TOF bin centers from the kernel."""
+    g = cfg.detectors[det_index]
+    valid, _, e, kk, _ = trajectory(cfg.beam.e0, g.l0, g.l1, g.theta, g.t0,
+                                    cfg.tof_bins.centers)
+    return valid, e, kk
+
 
 def test_trajectory_elastic_point():
     geom = DetectorGeometry(11.6, 4.0, math.radians(45.0), t0=12.0)
@@ -144,12 +152,12 @@ def test_trajectory_elastic_point():
     width = 2.0
     bins = TofBinning(t_el - 8.5 * width, t_el + 7.5 * width, 16)
     cfg = InstrumentConfig(BEAM, (geom,), bins)
-    points, valid = detector_trajectory(cfg, 0)
+    valid, e, _ = kernel_trajectory(cfg, 0)
     assert valid.all()
     centers = cfg.tof_bins.centers
     j = int(np.argmin(np.abs(centers - t_el)))
     assert centers[j] == pytest.approx(t_el, abs=1e-9)
-    assert points[j].e == pytest.approx(0.0, abs=1e-9)
+    assert e[j] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_trajectory_monotone_energy_and_angle_dependence():
@@ -158,24 +166,23 @@ def test_trajectory_monotone_energy_and_angle_dependence():
     geom2 = DetectorGeometry(11.6, 4.0, math.radians(60.0))
     bins = TofBinning(3000.0, 6000.0, 64)
     cfg = InstrumentConfig(BEAM, (geom1, geom2), bins)
-    pts1, v1 = detector_trajectory(cfg, 0)
-    pts2, v2 = detector_trajectory(cfg, 1)
+    v1, e1, k1 = kernel_trajectory(cfg, 0)
+    v2, e2, k2 = kernel_trajectory(cfg, 1)
     assert v1.all() and v2.all()
-    es = [p.e for p in pts1]
-    assert all(b > a for a, b in zip(es, es[1:]))
+    assert all(b > a for a, b in zip(e1, e1[1:]))
     # same TOF bin -> same E, different K at different angles
-    assert pts1[10].e == pytest.approx(pts2[10].e)
-    assert pts1[10].k != pytest.approx(pts2[10].k)
+    assert e1[10] == pytest.approx(e2[10])
+    assert k1[10] != pytest.approx(k2[10])
 
 
 def test_trajectory_satisfies_k_relation():
     cfg = arcs_like_instrument(theta_deg=[50], n_bins=64)
-    points, valid = detector_trajectory(cfg, 0)
-    for pt, ok in zip(points, valid):
+    valid, es, ks = kernel_trajectory(cfg, 0)
+    for e, kk, ok in zip(es, ks, valid):
         if not ok:
             continue
-        k1 = math.sqrt((BEAM.k0**2 * C.NEUTRON_E_COEF - pt.e) / C.NEUTRON_E_COEF)
-        assert pt.k == pytest.approx(
+        k1 = math.sqrt((BEAM.k0**2 * C.NEUTRON_E_COEF - e) / C.NEUTRON_E_COEF)
+        assert kk == pytest.approx(
             k_transfer(BEAM.k0, k1, math.radians(50.0)), rel=1e-12)
 
 
@@ -184,12 +191,12 @@ def test_trajectory_flags_unphysical_bins():
     t_in = geom.l0 / BEAM.v0 / C.US_S
     bins = TofBinning(t_in - 100.0, t_in + 100.0, 16)
     cfg = InstrumentConfig(BEAM, (geom,), bins)
-    points, valid = detector_trajectory(cfg, 0)
+    valid, e, _ = kernel_trajectory(cfg, 0)
     assert not valid.all() and valid.any()
-    assert len(points) == 16
-    for pt, ok in zip(points, valid):
+    assert len(e) == 16
+    for en, ok in zip(e, valid):
         if not ok:
-            assert math.isnan(pt.e)
+            assert math.isnan(en)
     with pytest.raises(UnphysicalTOF):
         simulate_spectrum(cfg, make_sample(0.3, 1.0079), 0)
 
@@ -223,8 +230,27 @@ def test_trajectory_memo_stays_bounded():
     cfg = arcs_like_instrument(theta_deg=range(10, 130, 5), n_bins=32)
     assert len(cfg.detectors) > spectra.TRAJECTORY_MEMO_SIZE
     for d in range(len(cfg.detectors)):
-        detector_trajectory(cfg, d)
+        spectra._trajectory_arrays(cfg, d)
         assert spectra._trajectory.cache_info().currsize <= spectra.TRAJECTORY_MEMO_SIZE
+
+
+def test_bank_trajectory_matches_each_memo_entry():
+    # one (n_det, 1) x (n_bins,) kernel call gives each detector's memoised
+    # arrays bit for bit: np.cos on a column and on one scalar theta agree.
+    # The window opens before the incident arrival, so nan bins are compared too.
+    arcs = arcs_like_instrument(theta_deg=[8, 11, 17.5, 29, 44, 73, 96, 130])
+    t_in = 11.6 / BEAM.v0 / C.US_S
+    cfg = InstrumentConfig(BEAM, arcs.detectors, TofBinning(t_in - 50.0, 3.0 * t_in, 257))
+    col = {name: np.array([[getattr(g, name)] for g in cfg.detectors])
+           for name in ("l0", "l1", "theta", "t0")}
+    bank = trajectory(cfg.beam.e0, col["l0"], col["l1"], col["theta"], col["t0"],
+                      cfg.tof_bins.centers)
+    assert all(a.shape == (len(cfg.detectors), 257) for a in bank)
+    assert not bank[0].all() and bank[0].any()
+    for d in range(len(cfg.detectors)):
+        _, valid, k1, e, kk, rate, _ = spectra._trajectory_arrays(cfg, d)
+        for got, memo in zip(bank, (valid, k1, e, kk, rate)):
+            assert got[d].tobytes() == memo.tobytes()
 
 
 # --- recoil peak location helpers ----------------------------------------------
@@ -242,7 +268,8 @@ def test_recoil_peak_matches_elastic_ratio():
 def test_peak_tof_lands_on_shell():
     sample = make_sample(0.3, 2.01, e_rot=14.7)
     geom = DetectorGeometry(11.6, 4.0, math.radians(25.0))
-    tp = peak_tof(BEAM, geom, sample)
+    k1 = recoil_peak_k1(BEAM, geom.theta, sample.mass, sample.e_rot)
+    tp = tof(geom, BEAM.v0, k1 * C.VEL_PER_WAVENUMBER)
     bins = TofBinning(tp - 200, tp + 200, 64)
     cfg = InstrumentConfig(BEAM, (geom,), bins)
     red = analysis.reduce_spectrum(simulate_spectrum(cfg, sample, 0), cfg, 0)
