@@ -23,17 +23,14 @@ from .analysis import (
     fit_recoil_mass,
     fit_roto_recoil,
     ingest_spectrum,
-    peak_centroid,
     reduce_spectrum,
 )
 from .kinematics import (
     DetectorGeometry,
     KEPoint,
     NeutronBeam,
-    conservation_residual,
     doppler_term,
     effective_mass_bound_check,
-    elastic_ratio,
     energy_transfer,
     k_transfer,
     recoil_energy,
@@ -44,12 +41,9 @@ from .qstate import (
     MixedState,
     MomentumGrid,
     WaveFunction,
-    apply_impulse,
     expectation_p,
     gaussian_state,
     grid_for_gaussians,
-    inner_product,
-    normalize,
     shift,
 )
 from .spectra import (
@@ -68,11 +62,9 @@ from .spectra import (
 from .weakval import (
     CouplingModel,
     WeakValueResult,
-    collision_time,
     deficit_sweep,
     momentum_deficit,
     pointer_momentum_shift,
-    pointer_position_shift,
     scenario,
     scenario_record,
     total_momentum_transfer,

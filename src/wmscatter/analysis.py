@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,30 +142,15 @@ def _levenberg_marquardt(fun, x0):
     raise NonConvergence(f"no convergence in {LM_MAX_EVAL} evaluations")
 
 
-def peak_centroid(spec: Spectrum, energy_axis, window=None,
-                  count_errors=None) -> PeakFit:
-    """Locate the peak of counts-versus-energy data.
+def _refine_gaussian(e, y, window):
+    """Locate the peak of counts y versus energy e (equal-length arrays).
 
-    First-moment centroid over the window, then a Gaussian least-squares
-    refinement by _levenberg_marquardt with the analytic Jacobian, started
-    from the window's moments.  When window is None it defaults to +-3 coarse
-    widths around the coarse centroid, iterated once.  count_errors (same
-    length as counts) weights the fit and makes the centroid uncertainty
-    absolute; without it the covariance is scaled by chi^2 / dof.
-    """
-    e = np.asarray(energy_axis, dtype=float)
-    y = np.asarray(spec.counts, dtype=float)
-    if e.shape != y.shape:
-        raise ValueError("energy axis and counts must have equal length")
-    fit, wres, wjac = _refine_gaussian(e, y, window, count_errors)
-    return replace(fit, centroid_err=_fit_stderr(wres, wjac, count_errors is None))
-
-
-def _refine_gaussian(e, y, window, count_errors=None):
-    """The Gaussian refinement of peak_centroid on equal-length arrays.
-
-    Returns (PeakFit without centroid_err, weighted residuals, weighted
-    Jacobian) at the solution.
+    First-moment centroid over the window, then an unweighted Gaussian
+    least-squares refinement by _levenberg_marquardt with the analytic
+    Jacobian, started from the window's moments.  When window is None it
+    defaults to +-3 coarse widths around the coarse centroid, iterated once.
+    Returns (PeakFit without centroid_err, residuals, Jacobian) at the
+    solution.
     """
     if window is None:
         lo, hi = _auto_window(e, y)
@@ -187,38 +171,28 @@ def _refine_gaussian(e, y, window, count_errors=None):
     var = float(((ew - first) ** 2 * yw * de).sum() / tot)
     width0 = math.sqrt(max(var, (ew[1] - ew[0]) ** 2 / 12.0))
     p0 = [float(y_max), first, width0]
-    inv_sig = None
-    if count_errors is not None:
-        sig = np.asarray(count_errors, dtype=float)[mask]
-        inv_sig = 1.0 / np.where(
-            sig > 0, sig, sig[sig > 0].min() if np.any(sig > 0) else 1.0)
 
     def residuals(p):
         jac = _gauss_jac(ew, *p)
-        r = p[0] * jac[:, 0] - yw
-        if inv_sig is None:
-            return r, jac
-        return r * inv_sig, jac * inv_sig[:, None]
+        return p[0] * jac[:, 0] - yw, jac
 
     try:
-        popt, wres, wjac = _levenberg_marquardt(residuals, p0)
+        popt, res, jac = _levenberg_marquardt(residuals, p0)
     except NonConvergence as exc:
         raise NonConvergence(f"Gaussian refinement failed: {exc}") from exc
-    resid = wres if inv_sig is None else wres / inv_sig
     fit = PeakFit(float(popt[1]), abs(float(popt[2])), float(popt[0]),
-                  float(np.linalg.norm(resid)), first_moment=first)
-    return fit, wres, wjac
+                  float(np.linalg.norm(res)), first_moment=first)
+    return fit, res, jac
 
 
-def _fit_stderr(wres, wjac, scale_by_chi2):
-    """Centroid stderr from inv(J^T J) of the fit, scaled by chi^2 / dof
-    unless the residuals carry absolute weights; None if J^T J is singular."""
+def _fit_stderr(res, jac):
+    """Centroid stderr from inv(J^T J) of the fit scaled by chi^2 / dof; None
+    if J^T J is singular."""
     try:
-        cov = np.linalg.inv(wjac.T @ wjac)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         return None
-    if scale_by_chi2:
-        cov *= float(wres @ wres) / (len(wres) - wjac.shape[1])
+    cov *= float(res @ res) / (len(res) - jac.shape[1])
     return float(math.sqrt(abs(cov[1, 1])))
 
 
@@ -268,6 +242,7 @@ def _linear_mass_fit(points, with_offset: bool) -> MassFitResult:
     solution is the optimum.  The covariance is (A^T W A)^-1, scaled by
     chi^2 / dof unless every point carries sigma_e (absolute weights); the
     mass stderr follows by the delta method, sigma_M = sigma_beta / beta^2.
+    A sigma_e that is given must be positive (ValueError otherwise).
     """
     n_min = 4 if with_offset else 3
     if len(points) < n_min:
@@ -277,7 +252,9 @@ def _linear_mass_fit(points, with_offset: bool) -> MassFitResult:
         raise CollinearDegeneracy("all |K| values coincide")
     es = np.array([p.e for p in points])
     sig = [p.sigma_e for p in points]
-    absolute = all(s is not None and s > 0 for s in sig)
+    if any(s is not None and not s > 0 for s in sig):
+        raise ValueError("every given sigma_E must be positive")
+    absolute = None not in sig
     sw = 1.0 / np.array(sig) if absolute else np.ones(len(points))
     design = (np.column_stack([np.ones_like(x), x]) if with_offset
               else x[:, None]) * sw[:, None]
@@ -420,12 +397,12 @@ def centroid_ke(red: ReducedDetector, window=None) -> tuple:
     per-bin Poisson variances modeled as (fitted counts, floored at 1), and
     otherwise from the fit's chi^2-scaled covariance.
     """
-    fit, wres, wjac = _refine_gaussian(red.e, np.maximum(red.intensity, 0.0), window)
+    fit, res, jac = _refine_gaussian(red.e, np.maximum(red.intensity, 0.0), window)
     cerr = None
     if red.intensity_err is not None and red.factor is not None:
         cerr = _sandwich_stderr(red, fit, window)
     if cerr is None:
-        cerr = _fit_stderr(wres, wjac, scale_by_chi2=True)
+        cerr = _fit_stderr(res, jac)
     fit = replace(fit, centroid_err=cerr)
     fin = np.isfinite(red.e)
     k_at = float(np.interp(fit.centroid, red.e[fin], red.k[fin]))
@@ -483,9 +460,11 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
     """
     peaks = list(observed_peaks)
     free = tuple(free_params)
-    for name in free:
+    for i, name in enumerate(free):
         if name not in AUDIT_PARAMS:
             raise ValueError(f"unknown calibration parameter {name!r}")
+        if name in free[:i]:
+            raise ValueError(f"calibration parameter {name!r} given twice")
     if len(free) > len(peaks):
         raise Underdetermined(
             f"{len(free)} free parameters but only {len(peaks)} peaks")
@@ -499,8 +478,10 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
                        for d, pf in peaks])
     base = {name: np.array([getattr(dets[d], name.lower()) for d, _ in peaks])
             for name in ("L0", "L1", "theta", "t0")}
-    sig = np.array([pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0)
-                    else 1.0 for _, pf in peaks])
+    # a missing stderr (None, nan or <= 0) weighs 1 and unweights the refit
+    errs = np.array([pf.centroid_err or np.nan for _, pf in peaks], dtype=float)
+    missing = ~(errs > 0)
+    sig = np.where(missing, 1.0, errs)
     prior = {**AUDIT_PRIOR_SIGMA, "E0": AUDIT_PRIOR_E0_FRACTION * beam.e0}
     free_prior = np.array([prior[name] for name in free])
 
@@ -539,7 +520,7 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
         resid_norm = float(np.linalg.norm(r))
     deltas = {name: 0.0 for name in AUDIT_PARAMS} | dict(zip(free, x.tolist()))
     valid, e, kk = mapped(x)
-    refit = fit_recoil_mass([KEPoint(kk[i], e[i], sig[i] if sig[i] != 1.0 else None)
+    refit = fit_recoil_mass([KEPoint(kk[i], e[i], None if missing[i] else sig[i])
                              for i in np.flatnonzero(valid)])
     sigmas = {name: deltas[name] / prior[name] for name in AUDIT_PARAMS}
     masking = bool(abs(refit.m_eff - assumed_m) / assumed_m < masking_tol
@@ -563,20 +544,14 @@ def report_text(report: CalibrationReport) -> str:
 
 # --- file ingestion ---------------------------------------------------------------
 
-def ingest_spectrum(path, strict: bool = True) -> Spectrum:
+def ingest_spectrum(path) -> Spectrum:
     """Read a spectrum file written by spectra.write_spectrum_csv.
 
-    The first line must be a '#'-prefixed JSON metadata record; with
-    strict=False a missing header only warns and default metadata is attached.
-    Malformed rows, non-finite values and negative counts raise ParseError
-    with their 1-based line number.
+    The first line must be a '#'-prefixed JSON metadata record
+    (MissingMetadata otherwise).  Malformed rows, non-finite values and
+    negative counts raise ParseError with their 1-based line number.
     """
-    meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault, strict)
-    if meta is None:
-        warnings.warn(f"{path}: missing metadata header; assuming default "
-                      "instrument context", stacklevel=2)
-        meta = {"schema": 1, "seed": None, "detector_index": 0,
-                "default_instrument": True}
+    meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault)
     c = np.ascontiguousarray(data[:, 1])
     tb = meta.get("tof_bins")
     if tb and int(tb["n_bins"]) != len(c):
@@ -645,5 +620,7 @@ def read_centroids_csv(path):
         if not (math.isfinite(k) and math.isfinite(e)
                 and (sig is None or math.isfinite(sig))):
             raise ParseError(i, f"non-finite value in row {line!r}")
+        if sig is not None and sig <= 0:
+            raise ParseError(i, f"non-positive sigma_E {sig}")
         out.append((d, KEPoint(k, e, sig)))
     return meta, out

@@ -1,13 +1,24 @@
 """Batch command-line front end.
 
-Subcommands: weakvalue, simulate, reduce, fit, audit, plot.  All numeric
-output is full-double-precision JSON (human tables round to 4 significant
-digits); the seed is echoed in every product.
+Subcommands (each also takes --seed, default 42, and --out):
 
-Exit codes: 0 success, 2 invalid arguments, config parse failure or a
-centroid of a detector the instrument lacks, 3 orthogonal post-selection,
-4 unphysical TOF range, 1 other library errors
-(for reduce, any input that failed; centroids.csv lists them and the rest).
+    weakvalue --case {A,B,C} [--sigma-i --hbarK --lambda --width-ratio --sign]
+    simulate  --instrument --sample [--counts, 0 = noiseless]
+    reduce    --input FILES_OR_DIRS...
+    fit       --centroids [--model {recoil,roto} --m-free --pin-erot]
+    audit     --instrument --centroids --assumed-m [--free --masking-tol]
+    plot      --input FILES_OR_DIRS... [--centroids --m-free --fit --title]
+
+--out is the JSON file of weakvalue, fit and audit (stdout without it), the
+directory of simulate and reduce (default '.') and the SVG of plot (default
+ribbon.svg).  All numeric output is full-double-precision JSON (human tables
+round to 4 significant digits); the seed is echoed in every product.
+
+Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter among
+them), a config parse failure or a centroid of a detector the instrument
+lacks; 3 orthogonal post-selection; 4 unphysical TOF range; 1 other library
+errors (for reduce, any input that failed; centroids.csv lists them and the
+rest).
 """
 
 from __future__ import annotations
@@ -43,10 +54,8 @@ def _emit_json(doc, out_path):
         sys.stdout.write(text)
 
 
-def _add_common(p, default_format):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--format", choices=["csv", "json", "svg"],
-                   default=default_format)
     p.add_argument("--out", default=None)
 
 
@@ -63,26 +72,26 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--width-ratio", type=float, default=0.5)
     p.add_argument("--sign", choices=["plus", "minus_mu"], default="plus")
-    _add_common(p, "json")
+    _add_common(p)
 
     p = sub.add_parser("simulate", help="forward-model TOF spectra")
     p.add_argument("--instrument", required=True)
     p.add_argument("--sample", required=True)
     p.add_argument("--counts", type=int, default=10000,
                    help="Poisson counts per detector; 0 = noiseless")
-    _add_common(p, "csv")
+    _add_common(p)
 
     p = sub.add_parser("reduce", help="convert spectra to the (K,E) plane")
     p.add_argument("--input", nargs="+", required=True,
                    help="spectrum CSV files or a directory of them")
-    _add_common(p, "csv")
+    _add_common(p)
 
     p = sub.add_parser("fit", help="fit an effective mass to reduced centroids")
     p.add_argument("--centroids", required=True)
     p.add_argument("--model", choices=["recoil", "roto"], default="roto")
     p.add_argument("--m-free", type=float, default=None)
     p.add_argument("--pin-erot", type=float, default=None)
-    _add_common(p, "json")
+    _add_common(p)
 
     p = sub.add_parser("audit", help="calibration-masking audit")
     p.add_argument("--instrument", required=True)
@@ -91,7 +100,7 @@ def build_parser():
     p.add_argument("--free", default="",
                    help="comma-separated subset of L0,L1,t0,theta,E0")
     p.add_argument("--masking-tol", type=float, default=0.01)
-    _add_common(p, "json")
+    _add_common(p)
 
     p = sub.add_parser("plot", help="emit an SVG (K,E) ribbon figure")
     p.add_argument("--input", nargs="+", required=True,
@@ -100,7 +109,7 @@ def build_parser():
     p.add_argument("--m-free", type=float, default=None)
     p.add_argument("--fit", default=None, help="MassFitResult JSON from `fit`")
     p.add_argument("--title", default="S(K,E) ribbon")
-    _add_common(p, "svg")
+    _add_common(p)
     return ap
 
 

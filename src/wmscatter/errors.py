@@ -60,10 +60,6 @@ class UnphysicalTOF(WmScatterError):
     """TOF value implies arrival before traversing the incident flight path."""
 
 
-class KinematicallyForbidden(WmScatterError):
-    """No real solution of the elastic two-body relation at this angle."""
-
-
 class NonPositiveK(WmScatterError):
     """Momentum transfer must be strictly positive here."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants as C
-from .errors import KinematicallyForbidden, NonPositiveMass, NonPositiveSpeed
+from .errors import NonPositiveMass, NonPositiveSpeed
 
 
 @dataclass(frozen=True)
@@ -114,20 +114,6 @@ def trajectory(e0: float, l0, l1, theta, t0, t):
             energy_rate(k1, safe))
 
 
-def elastic_ratio(mass_ratio: float, theta: float) -> float:
-    """k1/k0 for elastic scattering from a free atom at rest, M/m = mass_ratio.
-
-    Applies to the center-of-gravity of a measured peak, never bin-by-bin.
-    """
-    if mass_ratio <= 0:
-        raise NonPositiveMass("mass ratio must be positive")
-    disc = mass_ratio**2 - math.sin(theta) ** 2
-    if disc < 0:
-        raise KinematicallyForbidden(
-            f"no real k1/k0 at theta={theta} for M/m={mass_ratio}")
-    return (math.cos(theta) + math.sqrt(disc)) / (mass_ratio + 1.0)
-
-
 def recoil_energy(k, mass_amu: float):
     """Free recoil energy (hbar K)^2 / 2M = C_A K^2 / M in meV."""
     if mass_amu <= 0:
@@ -140,11 +126,6 @@ def doppler_term(k: float, p_par: float, mass_amu: float) -> float:
     if mass_amu <= 0:
         raise NonPositiveMass("mass must be positive")
     return 2.0 * C.ATOM_E_COEF * k * p_par / mass_amu
-
-
-def conservation_residual(e: float, k: float, p_par: float, mass_amu: float) -> float:
-    """E - E_rec(K,M) - E_Doppler(K,P,M); zero on the impulse energy shell."""
-    return e - recoil_energy(k, mass_amu) - doppler_term(k, p_par, mass_amu)
 
 
 def effective_mass_bound_check(m_eff: float, m_free: float) -> str:

@@ -23,19 +23,12 @@ functions, so concurrent use from multiple threads is safe.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    GridTooNarrow,
-    NonPositiveSigma,
-    NotNormalized,
-    ParseError,
-)
+from .errors import GridMismatch, GridTooNarrow, NonPositiveSigma, NotNormalized
 
 # Gaussian grids keep at least this many nodes per (smallest) sigma so that
 # trapezoidal sums are exponentially converged far below the 1e-8 tolerances.
@@ -191,19 +184,6 @@ class MixedState:
         return self.components[0][1].grid
 
 
-def _norm(values, dx):
-    n = float(trapezoid_vdot(values, values, dx).real)
-    if n <= 0:
-        raise NotNormalized("zero-norm state cannot be normalized")
-    return math.sqrt(n)
-
-
-def normalize(state: WaveFunction) -> WaveFunction:
-    """Rescale so the trapezoidal norm is exactly 1."""
-    amps = state.amplitudes / _norm(state.amplitudes, state.grid.dp)
-    return WaveFunction(state.grid, amps, state.descriptor, _built=True)
-
-
 def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunction:
     """Normalized Gaussian amplitudes exp(-(P-center)^2/(4 sigma^2)).
 
@@ -227,15 +207,11 @@ def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunct
     np.exp(seg, out=seg)
     # normalised by the dot product over the whole contiguous buffer: one over
     # the support alone can differ in the last bit
-    np.divide(seg, _norm(amps, grid.dp), out=seg)
+    norm_sq = float(trapezoid_vdot(amps, amps, grid.dp).real)
+    if norm_sq <= 0:
+        raise NotNormalized("zero-norm state cannot be normalized")
+    np.divide(seg, math.sqrt(norm_sq), out=seg)
     return WaveFunction(grid, amps, GaussianTag(center, sigma), _built=True)
-
-
-def inner_product(bra: WaveFunction, ket: WaveFunction) -> complex:
-    """<bra|ket> by trapezoidal quadrature; conjugate-symmetric."""
-    if bra.grid != ket.grid:
-        raise GridMismatch("states live on different momentum grids")
-    return complex(trapezoid_vdot(bra.amplitudes, ket.amplitudes, bra.grid.dp))
 
 
 def expectation_p(state) -> float:
@@ -247,13 +223,6 @@ def expectation_p(state) -> float:
         raise NotNormalized(f"norm deviates from 1 by {dev:.3e}")
     amps = state.amplitudes
     return float(trapezoid_vdot(amps, state.grid.points * amps, state.grid.dp).real)
-
-
-def variance_p(state: WaveFunction) -> float:
-    """Var(P) of a normalized state."""
-    mean = expectation_p(state)
-    dev = (state.grid.points - mean) * state.amplitudes
-    return float(trapezoid_vdot(dev, dev, state.grid.dp).real)
 
 
 def shift(state: WaveFunction, dp: float) -> WaveFunction:
@@ -276,57 +245,3 @@ def shift(state: WaveFunction, dp: float) -> WaveFunction:
     shifted = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * dp))
     return WaveFunction(state.grid, shifted, None, _built=True)
 
-
-def apply_impulse(neutron: WaveFunction, atom: WaveFunction, hbar_k: float):
-    """Impulsive momentum exchange: neutron loses hbar_k, atom gains hbar_k.
-
-    The product state stays unentangled; returns (neutron', atom').
-    """
-    return shift(neutron, -hbar_k), shift(atom, +hbar_k)
-
-
-def with_global_phase(state: WaveFunction, chi: float) -> WaveFunction:
-    """Multiply the amplitudes by exp(i chi) (drops the analytic tag)."""
-    return WaveFunction(state.grid, state.amplitudes * np.exp(1j * chi), None, _built=True)
-
-
-# --- CSV serialization: header "P,re,im", one row per node -------------------
-
-def write_state_csv(state: WaveFunction, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["P", "re", "im"])
-        for p, a in zip(state.grid.points, state.amplitudes):
-            wr.writerow([repr(float(p)), repr(float(a.real)), repr(float(a.imag))])
-
-
-def read_state_csv(path) -> WaveFunction:
-    """Inverse of write_state_csv.
-
-    A bad header or row, fewer than 8 rows, or a P column that is not a
-    uniform increasing grid raises ParseError with the 1-based line.
-    """
-    with open(path, newline="") as fh:
-        rd = csv.reader(fh)
-        header = next(rd, [])
-        if [h.strip() for h in header] != ["P", "re", "im"]:
-            raise ParseError(1, f"unexpected CSV header {header}")
-        rows, lines = [], []
-        for row in filter(None, rd):   # blank lines are skipped
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                vals = [math.nan]
-            if len(vals) != 3 or not all(map(math.isfinite, vals)):
-                raise ParseError(rd.line_num, f"expected 3 finite numbers, got {row}")
-            rows.append(vals)
-            lines.append(rd.line_num)
-    if len(rows) < 8:
-        raise ParseError(rd.line_num, f"need at least 8 grid rows, got {len(rows)}")
-    p, re, im = np.array(rows).T
-    dp = np.diff(p)
-    bad = np.flatnonzero((dp <= 0) | ~np.isclose(dp, dp[0], rtol=1e-9, atol=0))
-    if bad.size:
-        raise ParseError(lines[bad[0] + 1], "P is not a uniform increasing grid")
-    grid = MomentumGrid(float(p[0]), float(p[-1]), len(p))
-    return WaveFunction(grid, re + 1j * im, _built=True)

@@ -40,7 +40,13 @@ from .kinematics import (
     tof,
     trajectory,
 )
-from .qstate import MixedState, WaveFunction, expectation_p
+from .qstate import (
+    MixedState,
+    WaveFunction,
+    expectation_p,
+    gaussian_state,
+    grid_for_gaussians,
+)
 from .tablefile import write_table
 
 
@@ -307,7 +313,8 @@ def recoil_peak_k1(beam: NeutronBeam, theta: float, mass_eff: float,
 
     Solves C_E(k0^2 - k1^2) = E_rot + C_A K^2 / M_eff for k1 (the
     generalization of the elastic two-body ratio to a rotational offset and an
-    arbitrary effective mass; for E_rot = 0 it reduces to k1 = k0 * elastic_ratio).
+    arbitrary effective mass; for E_rot = 0 it reduces to the elastic
+    k1/k0 = (cos theta + sqrt(rho^2 - sin^2 theta)) / (rho + 1), rho = M_eff/m_n).
     """
     k0 = beam.k0
     a = C.NEUTRON_E_COEF + C.ATOM_E_COEF / mass_eff
@@ -410,8 +417,6 @@ def sample_from_dict(doc: dict) -> SampleModel:
     {"type": "mixture", "components": [{"weight": w, "sigma": s}, ...]};
     distributions are always centered at zero.
     """
-    from .qstate import MixedState as _Mixed, gaussian_state, grid_for_gaussians
-
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported config schema {doc.get('schema')!r}")
     dist = doc["momentum_dist"]
@@ -423,7 +428,7 @@ def sample_from_dict(doc: dict) -> SampleModel:
         sigmas = [float(c["sigma"]) for c in dist["components"]]
         weights = [float(c["weight"]) for c in dist["components"]]
         grid = grid_for_gaussians([0.0] * len(sigmas), sigmas)
-        momentum = _Mixed(tuple(
+        momentum = MixedState(tuple(
             (w, gaussian_state(grid, 0.0, s)) for w, s in zip(weights, sigmas)))
     else:
         raise ValueError(f"unknown momentum_dist type {dist['type']!r}")

@@ -59,12 +59,13 @@ def _axis_text(raw: bytes) -> tuple:
     return tuple(map(repr, np.frombuffer(raw).tolist()))
 
 
-def read_table(path, names, check=None, strict: bool = True):
+def read_table(path, names, check=None):
     """Read a table file whose column header is names.
 
-    Returns (meta, data, n_lines): the metadata dict (None for a file without
-    the '#' line when strict is False), the rows as a (rows, len(names)) float
-    array, and the file's line count, the line whole-file errors refer to.
+    Returns (meta, data, n_lines): the metadata dict, the rows as a
+    (rows, len(names)) float array, and the file's line count, the line
+    whole-file errors refer to.  A file without the '#' metadata line raises
+    MissingMetadata.
     Blank lines are skipped.  check(data, row_text) may reject a row by
     returning (row index, message); row_text(i) is the text of row i.  Every
     rejection is a ParseError at the 1-based line of the first bad row.
@@ -73,23 +74,19 @@ def read_table(path, names, check=None, strict: bool = True):
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError(1, "empty file")
-    meta = None
-    start = 0
-    if lines[0].lstrip().startswith("#"):
-        try:
-            meta = json.loads(lines[0].lstrip()[1:])
-        except json.JSONDecodeError as exc:
-            raise ParseError(1, f"bad metadata JSON: {exc}") from None
-        if not isinstance(meta, dict):
-            raise ParseError(1, "metadata JSON is not an object")
-        start = 1
-    elif strict:
+    if not lines[0].lstrip().startswith("#"):
         raise MissingMetadata(f"{path}: no '#' JSON metadata header")
+    try:
+        meta = json.loads(lines[0].lstrip()[1:])
+    except json.JSONDecodeError as exc:
+        raise ParseError(1, f"bad metadata JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise ParseError(1, "metadata JSON is not an object")
     header = ",".join(names)
-    if start >= len(lines) or lines[start].strip() != header:
-        raise ParseError(start + 1, f"expected header '{header}'")
-    body = lines[start + 1:]
-    first = start + 2   # line number of body[0]
+    if len(lines) < 2 or lines[1].strip() != header:
+        raise ParseError(2, f"expected header '{header}'")
+    body = lines[2:]
+    first = 3   # line number of body[0]
     data = _parse_columns(body, len(names))
     fault = None
     if data is None:

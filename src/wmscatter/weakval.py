@@ -105,21 +105,21 @@ def _post_overlaps(post: WaveFunction, grid, kets, observable, hbar_k):
 
 
 def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
-               hbar_k: float = 0.0, eps_overlap: float = EPS_OVERLAP_DEFAULT,
-               raise_on_orthogonal: bool = True) -> WeakValueResult:
+               hbar_k: float = 0.0, raise_on_orthogonal: bool = True) -> WeakValueResult:
     """<post|A|pre>/<post|pre> for A = P or A = P - hbarK.
 
     Raises OrthogonalSelection when the overlap magnitude (relative to the
-    product of norms) falls below eps_overlap; pass raise_on_orthogonal=False
-    to get an ill-conditioned result with value=nan instead.
+    product of norms) falls below EPS_OVERLAP_DEFAULT; pass
+    raise_on_orthogonal=False to get an ill-conditioned result with value=nan
+    instead.
     """
     post_norm, [(denom, numer)] = _post_overlaps(post, pre.grid, [pre], observable, hbar_k)
     norms = math.sqrt(post_norm * pre.norm_sq())
     overlap_mag = abs(denom) / norms if norms > 0 else 0.0
-    if overlap_mag < eps_overlap:
+    if overlap_mag < EPS_OVERLAP_DEFAULT:
         if raise_on_orthogonal:
             raise OrthogonalSelection(
-                f"|<post|pre>| = {overlap_mag:.3e} < eps = {eps_overlap:.3e}")
+                f"|<post|pre>| = {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
         return WeakValueResult(complex(float("nan"), float("nan")),
                                overlap_mag, True)
     return WeakValueResult(numer / denom, overlap_mag, False)
@@ -127,7 +127,6 @@ def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
 
 def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
                      hbar_k: float = 0.0,
-                     eps_overlap: float = EPS_OVERLAP_DEFAULT,
                      raise_on_orthogonal: bool = True) -> WeakValueResult:
     """Weak value for a pre-selected mixture rho = sum_i w_i |psi_i><psi_i|:
 
@@ -143,17 +142,16 @@ def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
         numer += w * a_ov * ov.conjugate()
         denom += w * abs(ov) ** 2
     overlap_mag = math.sqrt(max(denom, 0.0) / post_norm)
-    if overlap_mag < eps_overlap:
+    if overlap_mag < EPS_OVERLAP_DEFAULT:
         if raise_on_orthogonal:
             raise OrthogonalSelection(
-                f"mixed overlap {overlap_mag:.3e} < eps = {eps_overlap:.3e}")
+                f"mixed overlap {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
         return WeakValueResult(complex(float("nan"), float("nan")),
                                overlap_mag, True)
     return WeakValueResult(complex(numer / denom), overlap_mag, False)
 
 
-def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float,
-                     eps_overlap: float = EPS_OVERLAP_DEFAULT) -> float:
+def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float) -> float:
     """Deficit pi(hbarK) = hbarK - Re(P_w) for pre centered at 0 and post at hbarK.
 
     Positive for symmetric post states no wider than the pre state.
@@ -164,7 +162,7 @@ def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float,
         raise BadCentering(f"pre state centered at {c_pre:.3e}, expected 0")
     if abs(c_post - hbar_k) > 1e-6:
         raise BadCentering(f"post state centered at {c_post!r}, expected {hbar_k!r}")
-    wv = weak_value(pre, post, "P", eps_overlap=eps_overlap)
+    wv = weak_value(pre, post, "P")
     return hbar_k - wv.value.real
 
 
@@ -180,15 +178,6 @@ def pointer_momentum_shift(model: CouplingModel, coupling_wv: WeakValueResult) -
     return -model.lam * re if model.sign == "plus" else +model.lam * re
 
 
-def pointer_position_shift(g: float, var_q: float, wv: WeakValueResult) -> float:
-    """Mean pointer-position shift -2 g var_q Im[A_w]."""
-    if var_q <= 0:
-        raise NonPositiveInput("pointer position variance must be positive")
-    if wv.ill_conditioned:
-        raise IllConditionedWeakValue("cannot form a pointer shift near orthogonal selection")
-    return -2.0 * g * var_q * wv.value.imag
-
-
 def total_momentum_transfer(model: CouplingModel, deficit: float) -> float:
     """Total pointer momentum transfer: conventional -hbarK plus the correction.
 
@@ -200,12 +189,11 @@ def total_momentum_transfer(model: CouplingModel, deficit: float) -> float:
     return -model.hbar_k - model.lam * deficit
 
 
-def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5,
-             narrow_ratio: float = PLANE_WAVE_RATIO):
+def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5):
     """Pre/post state pair for the canonical final-state cases A, B, C.
 
     pre is always Gaussian(0, sigma_i); post is Gaussian(hbarK, sigma_f) with
-    sigma_f = narrow_ratio*sigma_i (A), width_ratio*sigma_i (B), sigma_i (C).
+    sigma_f = PLANE_WAVE_RATIO*sigma_i (A), width_ratio*sigma_i (B), sigma_i (C).
     """
     if sigma_i <= 0:
         raise NonPositiveInput("sigma_i must be positive")
@@ -213,7 +201,7 @@ def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5,
         raise NonPositiveInput("hbarK must be positive")
     kind = kind.upper()
     if kind == "A":
-        sigma_f = narrow_ratio * sigma_i
+        sigma_f = PLANE_WAVE_RATIO * sigma_i
     elif kind == "B":
         if not 0 < width_ratio <= 1:
             raise NonPositiveInput("width_ratio must lie in (0, 1] for case B")
@@ -276,15 +264,3 @@ def weakness_estimate(b_fm: float, wavelength_angstrom: float) -> float:
         raise NonPositiveLength("scattering length and wavelength must be positive")
     return (b_fm * C.FEMTOMETER_M) / (wavelength_angstrom * C.ANGSTROM_M)
 
-
-def collision_time(mass_amu: float, k_invA: float, delta_p: float) -> float:
-    """Impulsive collision time tau = M/(K dP) in seconds.
-
-    mass in a.m.u., K in 1/A, dP (momentum-distribution width) in hbar/A.
-    """
-    if mass_amu <= 0 or k_invA <= 0 or delta_p <= 0:
-        raise NonPositiveInput("mass, K and dP must all be positive")
-    mass_kg = mass_amu * C.AMU_KG
-    k_si = k_invA / C.ANGSTROM_M
-    dp_si = delta_p * C.HBAR_JS / C.ANGSTROM_M
-    return mass_kg / (k_si * dp_si)

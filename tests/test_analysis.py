@@ -2,7 +2,7 @@
 calibration-masking audit, and file ingestion."""
 
 import math
-import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,12 +34,15 @@ from wmscatter.spectra import (
 BEAM = NeutronBeam(90.0)
 
 
-def gaussian_spectrum(center=20.0, width=2.0, amp=1000.0, n=200,
-                      lo=0.0, hi=40.0):
+def gaussian_counts(center=20.0, width=2.0, amp=1000.0, n=200,
+                    lo=0.0, hi=40.0):
     e = np.linspace(lo, hi, n)
-    y = amp * np.exp(-((e - center) ** 2) / (2 * width**2))
-    edges = np.arange(n + 1, dtype=float)
-    return Spectrum(0, edges, y), e
+    return amp * np.exp(-((e - center) ** 2) / (2 * width**2)), e
+
+
+def refine(y, e, window):
+    """The Gaussian peak refinement's PeakFit."""
+    return an._refine_gaussian(e, y, window)[0]
 
 
 def pipeline_peaks(sample, sigma_p, theta_degs, n_bins=256, counts=None, seed=0):
@@ -66,51 +69,30 @@ def make_sample(sigma_p, mass, e_rot=0.0, deficit=None):
     return SampleModel(mass, gaussian_state(grid, 0.0, sigma_p), e_rot, deficit)
 
 
-# --- peak_centroid ---------------------------------------------------------------
+# --- Gaussian peak refinement ----------------------------------------------------
 
 def test_centroid_symmetric_noiseless():
-    spec, e = gaussian_spectrum(center=20.0)
-    fit = an.peak_centroid(spec, e, window=(10.0, 30.0))
+    y, e = gaussian_counts(center=20.0)
+    fit = refine(y, e, (10.0, 30.0))
     assert abs(fit.centroid - 20.0) < 1e-6 * 20.0
     assert fit.width == pytest.approx(2.0, rel=1e-6)
     assert abs(fit.first_moment - 20.0) < 1e-6 * 20.0
 
 
 def test_centroid_translation_equivariance():
-    spec1, e = gaussian_spectrum(center=18.0)
-    spec2, _ = gaussian_spectrum(center=18.0 + 3.5)
-    f1 = an.peak_centroid(spec1, e, window=(8.0, 28.0))
-    f2 = an.peak_centroid(spec2, e, window=(11.5, 31.5))
+    y1, e = gaussian_counts(center=18.0)
+    y2, _ = gaussian_counts(center=18.0 + 3.5)
+    f1 = refine(y1, e, (8.0, 28.0))
+    f2 = refine(y2, e, (11.5, 31.5))
     assert f2.centroid - f1.centroid == pytest.approx(3.5, abs=1e-9)
 
 
-def test_centroid_poisson_error_formula():
-    # over 100 seeds the refined centroid stays within 3 * width/sqrt(N)
-    center, width, total = 20.0, 2.0, 10_000
-    e = np.linspace(0.0, 40.0, 200)
-    mu = np.exp(-((e - center) ** 2) / (2 * width**2))
-    mu *= total / mu.sum()
-    bound = 3.0 * width / math.sqrt(total)
-    hits = 0
-    for seed in range(100):
-        rng = np.random.default_rng(seed)
-        y = rng.poisson(mu).astype(float)
-        spec = Spectrum(0, np.arange(201, dtype=float), y)
-        fit = an.peak_centroid(spec, e, window=(10.0, 30.0),
-                               count_errors=np.sqrt(np.maximum(y, 1.0)))
-        if abs(fit.centroid - center) < bound:
-            hits += 1
-        assert fit.centroid_err == pytest.approx(width / math.sqrt(total), rel=0.5)
-    assert hits >= 96
-
-
 def test_centroid_window_errors():
-    spec, e = gaussian_spectrum()
+    y, e = gaussian_counts()
     with pytest.raises(EmptyWindow):
-        an.peak_centroid(spec, e, window=(39.3, 40.0))   # fewer than 5 bins
-    flat = Spectrum(0, np.arange(51, dtype=float), np.full(50, 7.0))
+        refine(y, e, (39.3, 40.0))   # fewer than 5 bins
     with pytest.raises(DegeneratePeak):
-        an.peak_centroid(flat, np.linspace(0, 10, 50), window=(0.0, 10.0))
+        refine(np.full(50, 7.0), np.linspace(0, 10, 50), (0.0, 10.0))
 
 
 def test_centroid_skips_bins_before_incident_flight_time():
@@ -216,6 +198,20 @@ def test_fit_roto_is_the_optimum_in_mass_parameters(weighted):
         cov *= (r @ r) / (len(ks) - 2)
     assert fit.stderr == pytest.approx(math.sqrt(cov[1, 1]), rel=1e-12)
     assert fit.e_rot_stderr == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+
+
+def test_fit_rejects_non_positive_sigma():
+    # a given sigma_E must be positive; None alone means unweighted
+    ks = np.linspace(1.2, 4.5, 8)
+    pts = [KEPoint(k, 14.7 + C.ATOM_E_COEF * k**2 / 0.64, 0.1) for k in ks]
+    for bad in (0.0, -0.5, float("nan")):
+        worse = [KEPoint(pts[0].k, pts[0].e, bad)] + pts[1:]
+        with pytest.raises(ValueError):
+            an.fit_roto_recoil(worse)
+        with pytest.raises(ValueError):
+            an.fit_recoil_mass(worse)
+    unweighted = [KEPoint(pts[0].k, pts[0].e, None)] + pts[1:]
+    assert an.fit_roto_recoil(unweighted).m_eff == pytest.approx(0.64, rel=1e-8)
 
 
 def test_fit_roto_needs_four_points():
@@ -348,6 +344,18 @@ def test_audit_absurd_adjustment_is_not_masking():
     assert not rep.masking_flag
 
 
+def test_audit_stderr_of_one_is_a_weight():
+    # 1.0 is a stderr like any other, not the "missing" marker: it must not
+    # turn the refit unweighted
+    sample = make_sample(0.3, 2.01, deficit=DeficitInjection(0.1, 1.0))
+    cfg, peaks, _ = pipeline_peaks(sample, 0.3, range(60, 95, 5), counts=200000, seed=2)
+    refits = []
+    for err in (1.0, 1.0000001):
+        moved = [(peaks[0][0], replace(peaks[0][1], centroid_err=err))] + peaks[1:]
+        refits.append(an.calibration_audit(cfg, moved, 2.01).refit_mass)
+    assert refits[0] == pytest.approx(refits[1], rel=1e-6)
+
+
 def test_audit_underdetermined():
     sample = make_sample(0.3, 2.01)
     cfg, peaks, _ = pipeline_peaks(sample, 0.3, [60])
@@ -407,12 +415,9 @@ def test_ingest_skips_blank_lines(tmp_path):
     assert spec.counts.tolist() == [5.0, 6.0, 7.0]
 
 
-def test_reduce_without_instrument_metadata_names_missing_keys(tmp_path):
-    p = tmp_path / "plain.csv"
-    p.write_text("tof_us,counts\n100.0,5\n101.0,6\n102.0,7\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        spec = an.ingest_spectrum(p, strict=False)
+def test_reduce_without_instrument_metadata_names_missing_keys():
+    spec = Spectrum(0, np.array([99.5, 100.5, 101.5, 102.5]), np.array([5.0, 6.0, 7.0]),
+                    {"schema": 1, "detector_index": 0})
     with pytest.raises(MissingMetadata) as err:
         an.reduce_spectrum(spec)
     assert all(k in str(err.value) for k in ("beam", "detector", "tof_bins"))
@@ -431,12 +436,6 @@ def test_ingest_missing_metadata(tmp_path):
     p.write_text("tof_us,counts\n100.0,5\n101.0,6\n102.0,7\n")
     with pytest.raises(MissingMetadata):
         an.ingest_spectrum(p)
-    with warnings.catch_warnings(record=True) as got:
-        warnings.simplefilter("always")
-        spec = an.ingest_spectrum(p, strict=False)
-    assert any("default" in str(w.message) for w in got)
-    assert spec.metadata.get("default_instrument")
-    assert len(spec.counts) == 3
 
 
 @pytest.mark.parametrize("row, message", [
@@ -446,8 +445,10 @@ def test_ingest_missing_metadata(tmp_path):
     ("-1,3.0,18.0,0.1", "negative detector index -1"),
     ("1,3.0,18.0", "expected 4 fields, got 3"),
     ("1,3.0,x,0.1", "non-numeric row '1,3.0,x,0.1'"),
+    ("1,3.0,18.0,0", "non-positive sigma_E 0.0"),
+    ("1,3.0,18.0,-0.5", "non-positive sigma_E -0.5"),
 ], ids=["nan-E", "nan-K", "inf-sigma", "negative-detector", "short-row",
-        "non-numeric"])
+        "non-numeric", "zero-sigma", "negative-sigma"])
 def test_centroids_csv_rejects_bad_row(tmp_path, row, message):
     path = tmp_path / "centroids.csv"
     path.write_text('# {"schema": 1}\ndetector,K,E,sigma_E\n0,2.0,8.0,0.1\n'

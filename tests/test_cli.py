@@ -134,6 +134,16 @@ def test_audit_of_an_unknown_detector_exits_2(h2_inputs, capsys):
     assert "detector 5" in capsys.readouterr().err
 
 
+def test_audit_with_a_repeated_free_parameter_exits_2(h2_inputs, capsys):
+    tmp, inst, _ = h2_inputs
+    cen = tmp / "centroids.csv"
+    analysis.write_centroids_csv(
+        [(d, analysis.KEPoint(2.0 + d, 20.0 + 5.0 * d, 0.1)) for d in (0, 1, 2)], cen)
+    assert cli.main(["audit", "--instrument", inst, "--centroids", str(cen),
+                     "--free", "t0,t0", "--assumed-m", "2.01"]) == 2
+    assert "'t0' given twice" in capsys.readouterr().err
+
+
 def test_ke_file_needs_its_column_header(h2_inputs, tmp_path):
     tmp, inst, sample = h2_inputs
     run(["simulate", "--instrument", inst, "--sample", sample, "--out", tmp / "sim"])

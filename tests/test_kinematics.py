@@ -6,19 +6,13 @@ import numpy as np
 import pytest
 
 from wmscatter import constants as C
-from wmscatter.errors import (
-    KinematicallyForbidden,
-    NonPositiveMass,
-    NonPositiveSpeed,
-)
+from wmscatter.errors import NonPositiveMass, NonPositiveSpeed
 from wmscatter.kinematics import (
     DetectorGeometry,
     KEPoint,
     NeutronBeam,
-    conservation_residual,
     doppler_term,
     effective_mass_bound_check,
-    elastic_ratio,
     energy_transfer,
     k_transfer,
     recoil_energy,
@@ -135,25 +129,6 @@ def test_trajectory_needs_positive_flight_paths():
     assert k1[0] * C.VEL_PER_WAVENUMBER == pytest.approx(1500.0, rel=1e-12)
 
 
-def test_elastic_ratio_examples():
-    assert elastic_ratio(5.0, 0.0) == pytest.approx(1.0)
-    assert elastic_ratio(1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-14)
-    assert elastic_ratio(1.0, math.pi / 3) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_elastic_ratio_monotone_in_angle():
-    thetas = np.linspace(0.0, math.pi, 200)
-    vals = [elastic_ratio(3.5, t) for t in thetas]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_elastic_ratio_forbidden():
-    with pytest.raises(KinematicallyForbidden):
-        elastic_ratio(0.5, math.pi / 2)
-    with pytest.raises(NonPositiveMass):
-        elastic_ratio(-1.0, 0.3)
-
-
 def test_recoil_energy_rotational_line():
     # K = 2.7 1/A on a free H atom: ~15.1 meV, within 5% of the measured 14.7
     e = recoil_energy(2.7, 1.0079)
@@ -173,13 +148,6 @@ def test_doppler_term():
     assert doppler_term(2.0, 1.0, 1.0) == pytest.approx(4.0 * C.ATOM_E_COEF)
     assert doppler_term(2.0, 1.0, 1.0) == pytest.approx(8.36, abs=0.01)
     assert doppler_term(2.0, -1.5, 1.0) == -doppler_term(2.0, 1.5, 1.0)
-
-
-def test_conservation_residual():
-    e = recoil_energy(3.0, 2.0) + doppler_term(3.0, 0.7, 2.0)
-    assert abs(conservation_residual(e, 3.0, 0.7, 2.0)) < 1e-12
-    assert conservation_residual(recoil_energy(3.0, 2.0), 3.0, 0.0, 2.0) == 0.0
-    assert conservation_residual(e + 0.25, 3.0, 0.7, 2.0) == pytest.approx(0.25)
 
 
 def test_effective_mass_bound_check():

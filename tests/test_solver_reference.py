@@ -7,6 +7,7 @@ minimum; the bounds below are set from that, not from float precision.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from wmscatter.spectra import (
     DeficitInjection,
     InstrumentConfig,
     SampleModel,
-    Spectrum,
     poisson_sample,
     recoil_tof_window,
     simulate_spectrum,
@@ -67,10 +67,10 @@ def least_squares_solver(fun, x0):
 
 
 def refine(red):
-    """The Gaussian refinement exactly as centroid_ke runs it."""
-    spec = Spectrum(red.detector_index, np.arange(len(red.e) + 1, dtype=float),
-                    np.maximum(red.intensity, 0.0))
-    return an.peak_centroid(spec, red.e)
+    """The Gaussian refinement exactly as centroid_ke runs it, with the
+    chi^2-scaled stderr of its fallback."""
+    fit, res, jac = an._refine_gaussian(red.e, np.maximum(red.intensity, 0.0), None)
+    return replace(fit, centroid_err=an._fit_stderr(res, jac))
 
 
 @pytest.mark.parametrize("thetas, n_bins, replicas", [

@@ -256,13 +256,14 @@ def test_bank_trajectory_matches_each_memo_entry():
 # --- recoil peak location helpers ----------------------------------------------
 
 def test_recoil_peak_matches_elastic_ratio():
-    from wmscatter.kinematics import elastic_ratio
-
+    # E_rot = 0: the elastic two-body closed form
+    # k1/k0 = (cos theta + sqrt(rho^2 - sin^2 theta)) / (rho + 1), rho = M/m_n
     mass = 4.0026
     rho = mass * C.AMU_KG / C.NEUTRON_MASS_KG
     for theta in (0.4, 0.9, 1.6, 2.4):
         k1 = recoil_peak_k1(BEAM, theta, mass)
-        assert k1 == pytest.approx(BEAM.k0 * elastic_ratio(rho, theta), rel=1e-12)
+        ratio = (math.cos(theta) + math.sqrt(rho**2 - math.sin(theta) ** 2)) / (rho + 1.0)
+        assert k1 == pytest.approx(BEAM.k0 * ratio, rel=1e-12)
 
 
 def test_peak_tof_lands_on_shell():

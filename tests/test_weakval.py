@@ -9,11 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from wmscatter import constants as C
 from wmscatter.errors import (
     BadCentering,
+    GridMismatch,
     IllConditionedWeakValue,
-    NonPositiveInput,
     NonPositiveLength,
     OrthogonalSelection,
 )
@@ -24,17 +23,14 @@ from wmscatter.qstate import (
     expectation_p,
     gaussian_state,
     grid_for_gaussians,
-    with_global_phase,
 )
 from wmscatter.weakval import (
     PLANE_WAVE_RATIO,
     CouplingModel,
     WeakValueResult,
-    collision_time,
     deficit_sweep,
     momentum_deficit,
     pointer_momentum_shift,
-    pointer_position_shift,
     scenario,
     scenario_record,
     total_momentum_transfer,
@@ -65,6 +61,11 @@ def closed_form_pw(sigma_i, sigma_f, hbar_k):
 def elementwise_trapezoid(values, dx):
     """The trapezoidal rule written out elementwise."""
     return (values.sum() - 0.5 * (values[0] + values[-1])) * dx
+
+
+def with_global_phase(state, chi):
+    """The state times exp(i chi), as a complex tabulated state."""
+    return WaveFunction(state.grid, state.amplitudes * np.exp(1j * chi))
 
 
 GRID = grid_for_gaussians([0.0, 4.0], [1.0, 0.5])
@@ -113,6 +114,17 @@ def test_weak_value_orthogonal_raises():
     assert math.isnan(wv.value.real)
     with pytest.raises(IllConditionedWeakValue):
         pointer_momentum_shift(CouplingModel(0.01, 4.0), wv)
+
+
+def test_states_on_different_grids_raise():
+    pre = gaussian_state(GRID, 0.0, 1.0)
+    post = gaussian_state(MomentumGrid(GRID.p_min, GRID.p_max, GRID.n_points // 2), 4.0, 1.0)
+    with pytest.raises(GridMismatch):
+        weak_value(pre, post, "P")
+    with pytest.raises(GridMismatch):
+        weak_value_mixed(MixedState(((1.0, pre),)), post, "P")
+    with pytest.raises(GridMismatch):
+        MixedState(((0.5, pre), (0.5, post)))
 
 
 def test_global_phase_on_post_cancels():
@@ -222,18 +234,9 @@ def test_pointer_momentum_shift_signs():
     assert pointer_momentum_shift(CouplingModel(0.5, 4.0), zero) == 0.0
 
 
-def test_pointer_position_shift():
-    real_wv = WeakValueResult(complex(3.0, 0.0), 0.5, False)
-    assert pointer_position_shift(1.0, 0.5, real_wv) == 0.0
-    imag_wv = WeakValueResult(complex(0.0, 1.0), 0.5, False)
-    assert pointer_position_shift(1.0, 0.5, imag_wv) == pytest.approx(-1.0)
-    with pytest.raises(NonPositiveInput):
-        pointer_position_shift(1.0, 0.0, imag_wv)
-
-
-def test_pointer_position_shift_phase_ramp_oracle():
+def test_phase_ramp_weak_value_oracle():
     # a linear phase on the post state makes P_w complex; check Im against
-    # the brute-force sum and the -2 g var_q Im rule
+    # the brute-force sum
     slope = 0.35
     grid = grid_for_gaussians([0.0, 4.0], [1.0, 0.5])
     pre = gaussian_state(grid, 0.0, 1.0)
@@ -242,8 +245,6 @@ def test_pointer_position_shift_phase_ramp_oracle():
     wv = weak_value(pre, post, "P")
     oracle = brute_force_pw(1.0, 0.5, 4.0, phase_slope=slope)
     assert wv.value.imag == pytest.approx(oracle.imag, rel=1e-8)
-    assert pointer_position_shift(2.0, 0.25, wv) == \
-        pytest.approx(-2.0 * 2.0 * 0.25 * oracle.imag, rel=1e-8)
 
 
 def test_total_momentum_transfer():
@@ -295,19 +296,6 @@ def test_weakness_estimate():
     assert weakness_estimate(5.0, 2.0) == pytest.approx(2.5e-5, rel=1e-12)
     with pytest.raises(NonPositiveLength):
         weakness_estimate(-1.0, 1.0)
-
-
-def test_collision_time():
-    tau = collision_time(1.00866, 100.0, 4.0)
-    # independent SI substitution
-    expect = (1.00866 * C.AMU_KG) / ((100.0 / C.ANGSTROM_M)
-                                     * (4.0 * C.HBAR_JS / C.ANGSTROM_M))
-    assert tau == pytest.approx(expect, rel=1e-12)
-    assert tau == pytest.approx(4.0e-16, rel=0.02)
-    assert collision_time(1.00866, 200.0, 4.0) == pytest.approx(tau / 2)
-    assert collision_time(2.01732, 100.0, 4.0) == pytest.approx(tau * 2)
-    with pytest.raises(NonPositiveInput):
-        collision_time(0.0, 1.0, 1.0)
 
 
 def test_coupling_model_validation():
