@@ -44,7 +44,6 @@ from .qstate import (
     expectation_p,
     gaussian_state,
     grid_for_gaussians,
-    shift,
 )
 from .spectra import (
     DeficitInjection,

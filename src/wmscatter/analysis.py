@@ -1,6 +1,7 @@
 """Inverse problem: peak centroids, recoil / roto-recoil mass fits, deficit
 reporting against the conventional bound, calibration-masking audit, and
-spectrum file ingestion.
+the spectrum and centroid files, both tablefile tables (spectra need at
+least two rows, centroid tables do not).
 
 Two numpy least-squares routines serve every fit.  The recoil fit
 E = C_A K^2 / M and the roto-recoil fit E = E_rot + C_A K^2 / M are linear in
@@ -12,7 +13,6 @@ routine (_levenberg_marquardt).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -44,7 +44,7 @@ from .spectra import (
     _trajectory_arrays,
     instrument_from_dict,
 )
-from .tablefile import read_table
+from .tablefile import read_table, write_table
 
 # Levenberg-Marquardt limits: function evaluations, and the relative tolerance
 # (MINPACK's default ftol/xtol) on the cost drop still available to a
@@ -149,8 +149,8 @@ def _refine_gaussian(e, y, window):
     least-squares refinement by _levenberg_marquardt with the analytic
     Jacobian, started from the window's moments.  When window is None it
     defaults to +-3 coarse widths around the coarse centroid, iterated once.
-    Returns (PeakFit without centroid_err, residuals, Jacobian) at the
-    solution.
+    Returns (PeakFit without centroid_err, residuals, Jacobian, window mask):
+    the residuals and Jacobian at the solution, on the bins of e[mask].
     """
     if window is None:
         lo, hi = _auto_window(e, y)
@@ -164,13 +164,8 @@ def _refine_gaussian(e, y, window):
     y_max = yw.max()
     if y_max == yw.min():
         raise DegeneratePeak("all counts in the window are equal")
-    # nonuniform-axis moments
-    de = _spacing(ew)
-    tot = (yw * de).sum()
-    first = float((ew * yw * de).sum() / tot)
-    var = float(((ew - first) ** 2 * yw * de).sum() / tot)
-    width0 = math.sqrt(max(var, (ew[1] - ew[0]) ** 2 / 12.0))
-    p0 = [float(y_max), first, width0]
+    first, width = _moments(ew, yw)
+    p0 = [float(y_max), first, max(width, math.sqrt((ew[1] - ew[0]) ** 2 / 12.0))]
 
     def residuals(p):
         jac = _gauss_jac(ew, *p)
@@ -182,17 +177,21 @@ def _refine_gaussian(e, y, window):
         raise NonConvergence(f"Gaussian refinement failed: {exc}") from exc
     fit = PeakFit(float(popt[1]), abs(float(popt[2])), float(popt[0]),
                   float(np.linalg.norm(res)), first_moment=first)
-    return fit, res, jac
+    return fit, res, jac, mask
 
 
-def _fit_stderr(res, jac):
-    """Centroid stderr from inv(J^T J) of the fit scaled by chi^2 / dof; None
-    if J^T J is singular."""
+def _centroid_stderr(res, jac, var=None):
+    """Centroid stderr from inv(J^T J) of the fit: the sandwich
+    inv(J^T J) J^T V J inv(J^T J) with per-bin variances var, or scaled by
+    chi^2 / dof without them; None if J^T J is singular."""
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         return None
-    cov *= float(res @ res) / (len(res) - jac.shape[1])
+    if var is None:
+        cov *= float(res @ res) / (len(res) - jac.shape[1])
+    else:
+        cov = cov @ ((jac.T * var) @ jac) @ cov
     return float(math.sqrt(abs(cov[1, 1])))
 
 
@@ -392,42 +391,23 @@ def centroid_ke(red: ReducedDetector, window=None) -> tuple:
 
     Returns (KEPoint, PeakFit); K is interpolated at the fitted energy centroid.
     The Gaussian location fit is unweighted (Poisson weighting would emphasize
-    the wings, where the shell lineshape departs from a Gaussian); for counting
-    data the centroid uncertainty comes from the sandwich covariance with
-    per-bin Poisson variances modeled as (fitted counts, floored at 1), and
-    otherwise from the fit's chi^2-scaled covariance.
+    the wings, where the shell lineshape departs from a Gaussian).  The
+    centroid uncertainty comes from that fit's own window and Jacobian: for
+    counting data the sandwich covariance with per-bin Poisson variances
+    modeled as (fitted counts, floored at 1), otherwise the fit's
+    chi^2-scaled covariance.
     """
-    fit, res, jac = _refine_gaussian(red.e, np.maximum(red.intensity, 0.0), window)
-    cerr = None
+    fit, res, jac, mask = _refine_gaussian(red.e, np.maximum(red.intensity, 0.0), window)
+    var = None
     if red.intensity_err is not None and red.factor is not None:
-        cerr = _sandwich_stderr(red, fit, window)
-    if cerr is None:
-        cerr = _fit_stderr(res, jac)
+        factor = red.factor[mask]
+        var = np.maximum(fit.amplitude * jac[:, 0] * factor, 1.0) / factor ** 2
+    cerr = _centroid_stderr(res, jac, var)
     fit = replace(fit, centroid_err=cerr)
     fin = np.isfinite(red.e)
     k_at = float(np.interp(fit.centroid, red.e[fin], red.k[fin]))
     sigma = cerr if (cerr and cerr > 0) else None
     return KEPoint(k_at, fit.centroid, sigma), fit
-
-
-def _sandwich_stderr(red, fit, window):
-    """Centroid stderr from J^-1 (J^T V J) J^-1 over the window, or +-3 fitted
-    widths without one; None when fewer than 5 bins or a singular J^T J."""
-    lo, hi = window if window is not None else \
-        (fit.centroid - 3.0 * fit.width, fit.centroid + 3.0 * fit.width)
-    mask = (red.e >= lo) & (red.e <= hi) & np.isfinite(red.factor)
-    if np.count_nonzero(mask) < 5:
-        return None
-    ew, factor = red.e[mask], red.factor[mask]
-    jac = _gauss_jac(ew, fit.amplitude, fit.centroid, fit.width)
-    model_counts = fit.amplitude * jac[:, 0] * factor
-    var_i = np.maximum(model_counts, 1.0) / factor ** 2
-    try:
-        jtj_inv = np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return None
-    cov = jtj_inv @ ((jac.T * var_i) @ jac) @ jtj_inv
-    return float(math.sqrt(abs(cov[1, 1])))
 
 
 # --- calibration audit -----------------------------------------------------------
@@ -549,9 +529,12 @@ def ingest_spectrum(path) -> Spectrum:
 
     The first line must be a '#'-prefixed JSON metadata record
     (MissingMetadata otherwise).  Malformed rows, non-finite values and
-    negative counts raise ParseError with their 1-based line number.
+    negative counts raise ParseError with their 1-based line number, and
+    fewer than 2 data rows one at the file's last line.
     """
     meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault)
+    if len(data) < 2:   # the bin edges need two TOF rows
+        raise ParseError(n_lines, "need at least 2 data rows")
     c = np.ascontiguousarray(data[:, 1])
     tb = meta.get("tof_bins")
     if tb and int(tb["n_bins"]) != len(c):
@@ -578,49 +561,41 @@ def _spectrum_fault(data, row_text):
     return i, f"negative counts {float(data[i, 1])}"
 
 
-# --- centroid table I/O (CSV with '#' JSON metadata, used by the CLI) ------------
+# --- centroid table I/O (a tablefile table, used by the CLI) --------------------
+
+CENTROID_COLUMNS = ("detector", "K", "E", "sigma_E")
+
 
 def write_centroids_csv(records, path, metadata=None):
-    """records: iterable of (detector_index, KEPoint)."""
-    meta = {"schema": 1}
-    if metadata:
-        meta.update(metadata)
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write("detector,K,E,sigma_E\n")
-        for d, pt in records:
-            s = "" if pt.sigma_e is None else repr(float(pt.sigma_e))
-            fh.write(f"{int(d)},{float(pt.k)!r},{float(pt.e)!r},{s}\n")
+    """records: iterable of (detector_index, KEPoint); a missing sigma_E is
+    written as nan."""
+    rows = np.array([(d, pt.k, pt.e, math.nan if pt.sigma_e is None else pt.sigma_e)
+                     for d, pt in records], dtype=float).reshape(-1, 4)
+    write_table(path, {"schema": 1, **(metadata or {})}, CENTROID_COLUMNS, rows.T)
 
 
 def read_centroids_csv(path):
-    """Returns (metadata, list of (detector_index, KEPoint))."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].lstrip().startswith("#"):
-        raise MissingMetadata(f"{path}: no '#' JSON metadata header")
-    meta = json.loads(lines[0].lstrip()[1:])
-    if len(lines) < 2 or lines[1].strip() != "detector,K,E,sigma_E":
-        raise ParseError(2, "expected header 'detector,K,E,sigma_E'")
-    out = []
-    for i, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(i, f"expected 4 fields, got {len(parts)}")
-        try:
-            d = int(parts[0])
-            k, e = float(parts[1]), float(parts[2])
-            sig = float(parts[3]) if parts[3].strip() else None
-        except ValueError:
-            raise ParseError(i, f"non-numeric row {line!r}") from None
-        if d < 0:
-            raise ParseError(i, f"negative detector index {d}")
-        if not (math.isfinite(k) and math.isfinite(e)
-                and (sig is None or math.isfinite(sig))):
-            raise ParseError(i, f"non-finite value in row {line!r}")
-        if sig is not None and sig <= 0:
-            raise ParseError(i, f"non-positive sigma_E {sig}")
-        out.append((d, KEPoint(k, e, sig)))
-    return meta, out
+    """Returns (metadata, list of (detector_index, KEPoint)); a nan sigma_E
+    reads as None.  Bad rows raise ParseError with their 1-based line."""
+    meta, data, _ = read_table(path, CENTROID_COLUMNS, _centroid_fault)
+    return meta, [(int(d), KEPoint(k, e, None if math.isnan(sig) else sig))
+                  for d, k, e, sig in data.tolist()]
+
+
+def _centroid_fault(data, row_text):
+    """First row with a non-finite value (a nan sigma_E is a missing one), a
+    detector index that is not a non-negative integer or a non-positive
+    sigma_E, as (row, message)."""
+    d, sig = data[:, 0], data[:, 3]
+    finite = np.isfinite(data[:, :3]).all(axis=1) & ~np.isinf(sig)
+    bad = ~finite | (d < 0) | (d != np.floor(d)) | (sig <= 0)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not finite[i]:
+        return i, f"non-finite value in row {row_text(i)!r}"
+    if d[i] != math.floor(d[i]):
+        return i, f"detector index {float(d[i])} is not an integer"
+    if d[i] < 0:
+        return i, f"negative detector index {int(d[i])}"
+    return i, f"non-positive sigma_E {float(sig[i])}"

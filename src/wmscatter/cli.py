@@ -264,7 +264,7 @@ def cmd_fit(args):
 
 def cmd_audit(args):
     cfg = spectra.load_instrument_json(args.instrument)
-    _, recs = analysis.read_centroids_csv(args.centroids)
+    meta, recs = analysis.read_centroids_csv(args.centroids)
     peaks = [(d, analysis.PeakFit(pt.e, 1.0, 1.0, 0.0,
                                   centroid_err=pt.sigma_e))
              for d, pt in recs]
@@ -273,7 +273,7 @@ def cmd_audit(args):
                                         masking_tol=args.masking_tol)
     doc = {
         "schema": 1,
-        "seed": args.seed,
+        "seed": meta.get("seed", args.seed),
         "assumed_mass": report.assumed_mass,
         "free_params": list(free),
         "adjusted_params": report.adjusted_params,

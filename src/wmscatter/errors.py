@@ -15,7 +15,7 @@ class GridMismatch(WmScatterError):
 
 
 class GridTooNarrow(WmScatterError):
-    """A requested Gaussian (or shift target) does not fit inside the grid."""
+    """A requested Gaussian does not fit inside the grid."""
 
 
 class NonPositiveSigma(WmScatterError):

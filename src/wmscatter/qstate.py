@@ -4,18 +4,16 @@ States live on a shared uniform momentum axis P (units hbar/Angstrom) and are
 normalized so that sum |Xi(P_j)|^2 dP = 1 by the trapezoidal rule.  Every
 integral (norms, overlaps, moments, weak-value numerators) is one pass of
 trapezoid_vdot: np.vdot over the grid plus the two endpoint corrections.
-Gaussian states carry an analytic descriptor so momentum shifts can be
-evaluated exactly; tabulated states are shifted by band-limited (FFT)
-interpolation.
+Gaussian states carry an analytic descriptor of their center and width.
 
 Amplitudes keep the kind of their input, float64 for real and complex128 for
 complex; every Gaussian state is real.  Bit-for-bit statements hold at a fixed
 BLAS thread count, since np.vdot over a large grid is split across threads.
 
-The descriptor is trusted, as shift() trusts it: a tagged state is taken to
-be exactly zero outside the index window where its Gaussian underflows to
-0.0 (WaveFunction.support()), so integrals with it as the bra may run over
-that window alone.
+The descriptor is trusted: a tagged state is taken to be exactly zero
+outside the index window where its Gaussian underflows to 0.0
+(WaveFunction.support()), so integrals with it as the bra may run over that
+window alone.
 
 Everything here is immutable after construction and all operations are pure
 functions, so concurrent use from multiple threads is safe.
@@ -121,10 +119,9 @@ def _gaussian_support(grid: MomentumGrid, center: float, sigma: float):
 class WaveFunction:
     """Real (float64) or complex (complex128) momentum amplitudes on a MomentumGrid.
 
-    When ``descriptor`` is set the amplitudes are exactly a normalized
-    Gaussian and shift() re-evaluates instead of interpolating.  The
-    amplitudes are a read-only copy of the array passed in; only this
-    module passes _built=True, for a fresh array it made itself.
+    When ``descriptor`` is set the amplitudes are exactly that normalized
+    Gaussian.  The amplitudes are a read-only copy of the array passed in;
+    only this module passes _built=True, for a fresh array it made itself.
     """
 
     grid: MomentumGrid
@@ -152,10 +149,6 @@ class WaveFunction:
         if tag is None:
             return 0, self.grid.n_points
         return _gaussian_support(self.grid, tag.center, tag.sigma)
-
-    def tabulated(self):
-        """Same amplitudes with the analytic descriptor dropped."""
-        return WaveFunction(self.grid, self.amplitudes, None, _built=True)
 
 
 @dataclass(frozen=True)
@@ -223,25 +216,4 @@ def expectation_p(state) -> float:
         raise NotNormalized(f"norm deviates from 1 by {dev:.3e}")
     amps = state.amplitudes
     return float(trapezoid_vdot(amps, state.grid.points * amps, state.grid.dp).real)
-
-
-def shift(state: WaveFunction, dp: float) -> WaveFunction:
-    """Translate the state by dp in momentum.
-
-    Gaussian-tagged states are re-evaluated exactly at the new center;
-    tabulated states are shifted by band-limited FFT interpolation (requires
-    |dp| < span/4 so the periodic wrap stays in the vanishing tails).
-    """
-    if dp == 0.0:
-        return state
-    if state.descriptor is not None:
-        tag = state.descriptor
-        return gaussian_state(state.grid, tag.center + dp, tag.sigma)
-    if abs(dp) >= state.grid.span / 4.0:
-        raise GridTooNarrow(
-            f"tabulated shift |{dp}| must be < span/4 = {state.grid.span / 4.0}")
-    n = state.grid.n_points
-    freqs = np.fft.fftfreq(n, d=state.grid.dp)
-    shifted = np.fft.ifft(np.fft.fft(state.amplitudes) * np.exp(-2j * np.pi * freqs * dp))
-    return WaveFunction(state.grid, shifted, None, _built=True)
 

@@ -8,7 +8,10 @@ column names, then one row of comma-separated floats per line:
     3012.3456789012345,17.0
     ...
 
-Spectra (tof_us,counts) and reduced K-E tables (tof_us,K,E,intensity) use it.
+Spectra (tof_us,counts), reduced K-E tables (tof_us,K,E,intensity) and the
+centroid table (detector,K,E,sigma_E) use it.  A table may have any number of
+rows; the spectrum reader (analysis.ingest_spectrum) needs at least two, for
+its bin edges, and says so itself.
 Values are written with repr, the shortest text that reads back as the same
 double, so a round trip through a file is exact.
 
@@ -97,8 +100,6 @@ def read_table(path, names, check=None):
             raise ParseError(_data_rows(body, first)[found[0]][0], found[1])
     if fault is not None:
         raise ParseError(*fault)
-    if len(data) < 2:
-        raise ParseError(len(lines), "need at least 2 data rows")
     return meta, data, len(lines)
 
 

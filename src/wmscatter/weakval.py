@@ -22,7 +22,7 @@ that closed form (and an independent brute-force sum) in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import constants as C
 from .errors import (
@@ -154,7 +154,9 @@ def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
 def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float) -> float:
     """Deficit pi(hbarK) = hbarK - Re(P_w) for pre centered at 0 and post at hbarK.
 
-    Positive for symmetric post states no wider than the pre state.
+    Computed as -Re (P - hbarK)_w, which does not cancel the digits that
+    hbarK and Re(P_w) share.  Positive for symmetric post states no wider
+    than the pre state.
     """
     c_pre = expectation_p(pre)
     c_post = expectation_p(post)
@@ -162,8 +164,7 @@ def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float) -> fl
         raise BadCentering(f"pre state centered at {c_pre:.3e}, expected 0")
     if abs(c_post - hbar_k) > 1e-6:
         raise BadCentering(f"post state centered at {c_post!r}, expected {hbar_k!r}")
-    wv = weak_value(pre, post, "P")
-    return hbar_k - wv.value.real
+    return -weak_value(pre, post, "P_minus_hbarK", hbar_k).value.real
 
 
 def pointer_momentum_shift(model: CouplingModel, coupling_wv: WeakValueResult) -> float:
@@ -221,9 +222,11 @@ def scenario_record(kind: str, sigma_i: float, hbar_k: float,
                     sign: str = "plus") -> dict:
     """One JSON-ready record of a full scenario evaluation."""
     pre, post = scenario(kind, sigma_i, hbar_k, width_ratio)
-    wv = weak_value(pre, post, "P")
-    coupling = replace(wv, value=wv.value - hbar_k)   # (P - hbarK)_w, by linearity
-    deficit = hbar_k - wv.value.real
+    # the deficit straight from (P - hbarK)_w: hbarK - Re(P_w) would cancel
+    # about six digits in case A, where Re(P_w) agrees with hbarK to 1e-6
+    coupling = weak_value(pre, post, "P_minus_hbarK", hbar_k)
+    p_w = coupling.value + hbar_k
+    deficit = -coupling.value.real
     model = CouplingModel(lam, hbar_k, sign)
     total = total_momentum_transfer(model, deficit)
     return {
@@ -234,8 +237,8 @@ def scenario_record(kind: str, sigma_i: float, hbar_k: float,
                        (PLANE_WAVE_RATIO if kind.upper() == "A" else 1.0),
         "lambda": lam,
         "sign": sign,
-        "P_w_re": wv.value.real,
-        "P_w_im": wv.value.imag,
+        "P_w_re": p_w.real,
+        "P_w_im": p_w.imag,
         "deficit": deficit,
         "pointer_shift": pointer_momentum_shift(model, coupling),
         "total_transfer": total,

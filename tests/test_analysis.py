@@ -447,8 +447,9 @@ def test_ingest_missing_metadata(tmp_path):
     ("1,3.0,x,0.1", "non-numeric row '1,3.0,x,0.1'"),
     ("1,3.0,18.0,0", "non-positive sigma_E 0.0"),
     ("1,3.0,18.0,-0.5", "non-positive sigma_E -0.5"),
+    ("1.5,3.0,18.0,0.1", "detector index 1.5 is not an integer"),
 ], ids=["nan-E", "nan-K", "inf-sigma", "negative-detector", "short-row",
-        "non-numeric", "zero-sigma", "negative-sigma"])
+        "non-numeric", "zero-sigma", "negative-sigma", "fractional-detector"])
 def test_centroids_csv_rejects_bad_row(tmp_path, row, message):
     path = tmp_path / "centroids.csv"
     path.write_text('# {"schema": 1}\ndetector,K,E,sigma_E\n0,2.0,8.0,0.1\n'
@@ -466,3 +467,30 @@ def test_centroids_csv_roundtrip(tmp_path):
     assert meta["seed"] == 5
     assert back[0][1].k == 2.0 and back[0][1].sigma_e == 0.1
     assert back[1][1].sigma_e is None
+    # a missing sigma_E goes through the file as nan; detectors are written as floats
+    assert path.read_text().splitlines()[2:] == ["0.0,2.0,8.0,0.1", "1.0,3.0,18.0,nan"]
+
+
+def test_centroids_csv_reads_integer_and_float_detectors(tmp_path):
+    path = tmp_path / "centroids.csv"
+    path.write_text('# {"schema": 1}\ndetector,K,E,sigma_E\n'
+                    "0,2.0,8.0,0.1\n1.0,3.0,18.0,nan\n\n12,4.0,30.0,0.2\n")
+    _, recs = an.read_centroids_csv(path)
+    assert recs == [(0, KEPoint(2.0, 8.0, 0.1)), (1, KEPoint(3.0, 18.0, None)),
+                    (12, KEPoint(4.0, 30.0, 0.2))]
+    assert all(type(d) is int for d, _ in recs)
+
+
+def test_centroids_csv_with_one_row_reads(tmp_path):
+    path = tmp_path / "centroids.csv"
+    an.write_centroids_csv([(3, KEPoint(2.0, 8.0, None))], path)
+    assert an.read_centroids_csv(path) == ({"schema": 1}, [(3, KEPoint(2.0, 8.0, None))])
+
+
+def test_centroids_csv_blank_sigma_is_a_parse_error(tmp_path):
+    # files written before nan marked a missing sigma_E left it blank
+    path = tmp_path / "centroids.csv"
+    path.write_text('# {"schema": 1}\ndetector,K,E,sigma_E\n0,2.0,8.0,0.1\n2,4.0,30.0,\n')
+    with pytest.raises(ParseError) as err:
+        an.read_centroids_csv(path)
+    assert str(err.value) == "line 4: non-numeric row '2,4.0,30.0,'"

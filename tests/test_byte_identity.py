@@ -251,8 +251,7 @@ def ref_centroid_ke(red, window=None):
                                  np.maximum(red.intensity, 0.0))
     fit = ref_peak_centroid(spec_like, red.e, window=window)
     if red.intensity_err is not None and red.factor is not None:
-        lo, hi = window if window is not None else \
-            (fit.centroid - 3.0 * fit.width, fit.centroid + 3.0 * fit.width)
+        lo, hi = window if window is not None else ref_auto_window(red.e, spec_like.counts)
         mask = (red.e >= lo) & (red.e <= hi) & np.isfinite(red.factor)
         if np.count_nonzero(mask) >= 5:
             ew = red.e[mask]
@@ -311,6 +310,19 @@ def test_explicit_window_matches_reference():
     auto = assert_same_reduction_and_centroid(spec, cfg, 2, True)[1]
     window = (auto.centroid - 2.0 * auto.width, auto.centroid + 2.5 * auto.width)
     assert_same_reduction_and_centroid(spec, cfg, 2, True, window)
+
+
+def test_stderr_at_22_degrees_comes_from_the_fit_window():
+    # at 22 degrees the auto window is narrower than +-3 fitted widths, so a
+    # stderr over +-3 fitted widths would use bins the fit never saw
+    cfg, sample = h2_bank()
+    spec = spectra.poisson_sample(spectra.simulate_spectrum(cfg, sample, 7), 200000, seed=107)
+    auto = assert_same_reduction_and_centroid(spec, cfg, 7, True)
+    red = analysis.reduce_spectrum(spec, cfg, 7, poisson_errors=True)
+    lo, hi = analysis._auto_window(red.e, np.maximum(red.intensity, 0.0))
+    fit = auto[1]
+    assert lo > fit.centroid - 3.0 * fit.width and hi < fit.centroid + 3.0 * fit.width
+    assert repr(analysis.centroid_ke(red, (lo, hi))) == repr(auto)
 
 
 def test_leading_nan_energy_bins_match_reference():

@@ -124,6 +124,17 @@ def test_reduce_records_failed_inputs_and_exits_1(h2_inputs, tmp_path, capsys):
     assert failure["error"].startswith("ParseError: ")
 
 
+def test_audit_echoes_the_seed_of_the_centroids_file(h2_inputs, capsys):
+    tmp, inst, _ = h2_inputs
+    cen, out = tmp / "centroids.csv", tmp / "audit.json"
+    analysis.write_centroids_csv(
+        [(d, analysis.KEPoint(2.0 + d, 20.0 + 5.0 * d, 0.1)) for d in range(5)], cen,
+        metadata={"seed": 5})
+    run(["audit", "--instrument", inst, "--centroids", cen, "--assumed-m", 2.01,
+         "--out", out])
+    assert json.loads(out.read_text())["seed"] == 5
+
+
 def test_audit_of_an_unknown_detector_exits_2(h2_inputs, capsys):
     tmp, inst, _ = h2_inputs
     cen = tmp / "centroids.csv"

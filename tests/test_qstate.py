@@ -1,4 +1,4 @@
-"""Tests for momentum-space states: construction, quadrature, shifts."""
+"""Tests for momentum-space states: construction and quadrature."""
 
 import math
 
@@ -13,7 +13,6 @@ from wmscatter.qstate import (
     expectation_p,
     gaussian_state,
     grid_for_gaussians,
-    shift,
     trapezoid_vdot,
 )
 
@@ -123,8 +122,9 @@ def test_amplitudes_read_only():
     # and they keep the kind of their input: real stays float64, complex is complex128
     g = gaussian_state(GRID, 0.0, 1.0)
     built = {np.float64: [g, WaveFunction(GRID, g.amplitudes), WaveFunction(GRID, list(g.amplitudes)),
-                          g.tabulated(), shift(g, 0.5)],
-             np.complex128: [WaveFunction(GRID, g.amplitudes + 0j), shift(g.tabulated(), 0.5),
+                          gaussian_state(GRID, 0.5, 1.0)],
+             np.complex128: [WaveFunction(GRID, g.amplitudes + 0j),
+                             WaveFunction(GRID, list(g.amplitudes + 0j)),
                              with_global_phase(g, 0.3)]}
     for kind, states in built.items():
         for st in states:
@@ -190,55 +190,18 @@ def test_mixed_state_weight_validation():
         MixedState(((0.6, a), (0.6, a)))
 
 
-def test_shift_descriptor_exact():
-    g = gaussian_state(GRID, 0.0, 1.0)
-    s = shift(g, 3.0)
-    ref = gaussian_state(GRID, 3.0, 1.0)
-    assert np.allclose(s.amplitudes, ref.amplitudes, atol=1e-14)
-
-
-def test_shift_zero_identity():
-    g = gaussian_state(GRID, 0.0, 1.0)
-    assert shift(g, 0.0) is g
-
-
-def test_shift_tabulated_matches_descriptor():
-    g = gaussian_state(GRID, 0.0, 1.0)
-    tab = shift(g.tabulated(), 2.5)
-    ref = gaussian_state(GRID, 2.5, 1.0)
-    assert np.max(np.abs(tab.amplitudes - ref.amplitudes)) < 1e-9
-
-
-def test_shift_roundtrip_tabulated():
-    g = gaussian_state(GRID, 1.0, 0.8).tabulated()
-    back = shift(shift(g, 2.0), -2.0)
-    assert np.max(np.abs(back.amplitudes - g.amplitudes)) < 1e-9
-
-
-def test_shift_preserves_normalization():
-    g = gaussian_state(GRID, 0.0, 1.0)
-    assert abs(shift(g, 4.0).norm_sq() - 1.0) < 1e-10
-    assert abs(shift(g.tabulated(), 4.0).norm_sq() - 1.0) < 1e-10
-
-
-def test_shift_expectation_property_random_gaussians():
+def test_expectation_follows_the_center_random_gaussians():
+    # tagged and tagless states alike: expectation_p reads the amplitudes only
     rng = np.random.default_rng(20240811)
     for _ in range(40):
         sigma = rng.uniform(0.3, 2.0)
         center = rng.uniform(-3.0, 3.0)
         d = rng.uniform(-5.0, 5.0)
         g = gaussian_state(GRID, center, sigma)
-        assert expectation_p(shift(g, d)) - expectation_p(g) == pytest.approx(d, abs=1e-8)
-        t = shift(g.tabulated(), d)
+        moved = gaussian_state(GRID, center + d, sigma)
+        assert expectation_p(moved) - expectation_p(g) == pytest.approx(d, abs=1e-8)
+        t = WaveFunction(GRID, moved.amplitudes)
         assert expectation_p(t) - expectation_p(g) == pytest.approx(d, abs=1e-8)
-
-
-def test_shift_window_checks():
-    g = gaussian_state(GRID, 0.0, 1.0)
-    with pytest.raises(GridTooNarrow):
-        shift(g, 16.0)          # descriptor window leaves the grid
-    with pytest.raises(GridTooNarrow):
-        shift(g.tabulated(), 11.0)   # > span/4
 
 
 def test_quadrature_convergence_on_refinement():

@@ -68,9 +68,9 @@ def least_squares_solver(fun, x0):
 
 def refine(red):
     """The Gaussian refinement exactly as centroid_ke runs it, with the
-    chi^2-scaled stderr of its fallback."""
-    fit, res, jac = an._refine_gaussian(red.e, np.maximum(red.intensity, 0.0), None)
-    return replace(fit, centroid_err=an._fit_stderr(res, jac))
+    chi^2-scaled stderr it gives data without count errors."""
+    fit, res, jac, _ = an._refine_gaussian(red.e, np.maximum(red.intensity, 0.0), None)
+    return replace(fit, centroid_err=an._centroid_stderr(res, jac))
 
 
 @pytest.mark.parametrize("thetas, n_bins, replicas", [

