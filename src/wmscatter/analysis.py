@@ -78,6 +78,7 @@ class MassFitResult:
     mass_ratio: float | None = None
     deficit_fraction: float | None = None   # 1 - sqrt(M_eff/M_free)
     classification: str | None = None
+    left_out: tuple = ()   # indices of the given points without sigma_e, not fitted
 
 
 @dataclass(frozen=True)
@@ -238,23 +239,30 @@ def _linear_mass_fit(points, with_offset: bool) -> MassFitResult:
     """Weighted linear least squares of E = [E_rot +] C_A K^2 * beta.
 
     The model is linear in (E_rot, beta = 1/M_eff), so the closed-form
-    solution is the optimum.  The covariance is (A^T W A)^-1, scaled by
-    chi^2 / dof unless every point carries sigma_e (absolute weights); the
-    mass stderr follows by the delta method, sigma_M = sigma_beta / beta^2.
-    A sigma_e that is given must be positive (ValueError otherwise).
+    solution is the optimum.  When any point carries sigma_e, only those
+    points are fitted, with absolute weights, and the indices of the others
+    are left_out; with no sigma_e anywhere every point is fitted unweighted.
+    The covariance is (A^T W A)^-1, scaled by chi^2 / dof when unweighted;
+    the mass stderr follows by the delta method, sigma_M = sigma_beta /
+    beta^2.  A sigma_e that is given must be positive (ValueError otherwise).
     """
+    sig = [p.sigma_e for p in points]
+    if any(s is not None and not s > 0 for s in sig):
+        raise ValueError("every given sigma_E must be positive")
+    absolute = any(s is not None for s in sig)
+    left_out = tuple(i for i, s in enumerate(sig) if s is None) if absolute else ()
+    if left_out:
+        points = [p for p in points if p.sigma_e is not None]
     n_min = 4 if with_offset else 3
     if len(points) < n_min:
-        raise InsufficientPoints(f"need >= {n_min} points, got {len(points)}")
+        raise InsufficientPoints(
+            f"need >= {n_min} points, got {len(points)}"
+            + (f" with sigma_E ({len(left_out)} without it)" if left_out else ""))
     x = C.ATOM_E_COEF * np.array([p.k for p in points]) ** 2
     if np.ptp(x) == 0:
         raise CollinearDegeneracy("all |K| values coincide")
     es = np.array([p.e for p in points])
-    sig = [p.sigma_e for p in points]
-    if any(s is not None and not s > 0 for s in sig):
-        raise ValueError("every given sigma_E must be positive")
-    absolute = None not in sig
-    sw = 1.0 / np.array(sig) if absolute else np.ones(len(points))
+    sw = 1.0 / np.array([p.sigma_e for p in points]) if absolute else np.ones(len(points))
     design = (np.column_stack([np.ones_like(x), x]) if with_offset
               else x[:, None]) * sw[:, None]
     coef, *_ = np.linalg.lstsq(design, es * sw, rcond=None)
@@ -268,7 +276,7 @@ def _linear_mass_fit(points, with_offset: bool) -> MassFitResult:
     e_rot, e_rot_err = (float(coef[0]), math.sqrt(cov[0, 0])) if with_offset \
         else (0.0, 0.0)
     return MassFitResult(1.0 / beta, math.sqrt(cov[-1, -1]) / beta**2,
-                         e_rot_fit=e_rot, e_rot_stderr=e_rot_err)
+                         e_rot_fit=e_rot, e_rot_stderr=e_rot_err, left_out=left_out)
 
 
 def fit_recoil_mass(points, m_free: float | None = None) -> MassFitResult:
@@ -294,11 +302,9 @@ def _classified(fit: MassFitResult, m_free) -> MassFitResult:
     if m_free is None:
         return fit
     ratio = fit.m_eff / m_free
-    return MassFitResult(
-        fit.m_eff, fit.stderr, fit.e_rot_fit, fit.e_rot_stderr,
-        m_free=m_free, mass_ratio=ratio,
-        deficit_fraction=1.0 - math.sqrt(ratio),
-        classification=effective_mass_bound_check(fit.m_eff, m_free))
+    return replace(fit, m_free=m_free, mass_ratio=ratio,
+                   deficit_fraction=1.0 - math.sqrt(ratio),
+                   classification=effective_mass_bound_check(fit.m_eff, m_free))
 
 
 def deficit_report(fit: MassFitResult, m_free: float) -> dict:
@@ -332,9 +338,11 @@ class ReducedDetector:
     """One detector converted from TOF to the (K, E) plane.
 
     intensity is counts divided by the instrument factor (k1/k0) * |dE/dt| * dt,
-    i.e. samples of the energy-shell intensity along the trajectory.  factor
-    holds that per-bin conversion so Poisson errors can be modeled.  t, k, e
-    and factor are read-only arrays shared with the trajectory memo of spectra.
+    i.e. samples of the energy-shell intensity along the trajectory; factor
+    holds that per-bin conversion.  poisson says whether the counts are
+    Poisson draws, so centroid_ke models their variances, or a noiseless
+    density, so it scales by the fit's chi^2.  t, k, e and factor are
+    read-only arrays shared with the trajectory memo of spectra.
     """
 
     detector_index: int
@@ -342,15 +350,15 @@ class ReducedDetector:
     k: np.ndarray
     e: np.ndarray
     intensity: np.ndarray
-    intensity_err: np.ndarray | None
-    counts: np.ndarray
-    factor: np.ndarray | None = None
+    factor: np.ndarray
+    poisson: bool
 
 
 def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
                     det_index: int | None = None,
                     poisson_errors: bool = False) -> ReducedDetector:
-    """Map a TOF spectrum to (K, E) and divide out the instrument factors.
+    """Map a TOF spectrum to (K, E) and divide out the instrument factors;
+    poisson_errors says whether the counts are Poisson draws.
 
     Without an explicit cfg the single-detector geometry embedded in the
     spectrum metadata is used; MissingMetadata names the keys it lacks.
@@ -368,11 +376,8 @@ def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
     t, valid, _, e, kk, _, factor = _trajectory_arrays(cfg, det_index)
     with np.errstate(invalid="ignore", divide="ignore"):
         inten = np.where(valid, spec.counts / factor, 0.0)
-        err = None
-        if poisson_errors:
-            err = np.where(valid, np.sqrt(np.maximum(spec.counts, 1.0)) / factor, 0.0)
-    return ReducedDetector(spec.detector_index, t, kk, e, inten, err,
-                           np.asarray(spec.counts, dtype=float), factor)
+    return ReducedDetector(spec.detector_index, t, kk, e, inten, factor,
+                           bool(poisson_errors))
 
 
 def _gauss_jac(e, amp, center, width):
@@ -399,7 +404,7 @@ def centroid_ke(red: ReducedDetector, window=None) -> tuple:
     """
     fit, res, jac, mask = _refine_gaussian(red.e, np.maximum(red.intensity, 0.0), window)
     var = None
-    if red.intensity_err is not None and red.factor is not None:
+    if red.poisson:
         factor = red.factor[mask]
         var = np.maximum(fit.amplitude * jac[:, 0] * factor, 1.0) / factor ** 2
     cerr = _centroid_stderr(res, jac, var)
@@ -458,7 +463,8 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
                        for d, pf in peaks])
     base = {name: np.array([getattr(dets[d], name.lower()) for d, _ in peaks])
             for name in ("L0", "L1", "theta", "t0")}
-    # a missing stderr (None, nan or <= 0) weighs 1 and unweights the refit
+    # a missing stderr (None, nan or <= 0) weighs 1 here; the refit leaves
+    # its peak out unless no peak has one
     errs = np.array([pf.centroid_err or np.nan for _, pf in peaks], dtype=float)
     missing = ~(errs > 0)
     sig = np.where(missing, 1.0, errs)

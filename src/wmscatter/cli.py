@@ -14,6 +14,12 @@ directory of simulate and reduce (default '.') and the SVG of plot (default
 ribbon.svg).  All numeric output is full-double-precision JSON (human tables
 round to 4 significant digits); the seed is echoed in every product.
 
+simulate writes the spectra and manifest.json, nothing more.  reduce takes
+each spectrum's count model from its metadata: sigma_E is the Poisson
+sandwich for a sampled spectrum and chi^2-scaled for a noiseless one (seed
+null).  fit weights by sigma_E, leaving out (and listing in left_out) any
+detector without one, unless none has one.
+
 Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter among
 them), a config parse failure or a centroid of a detector the instrument
 lacks; 3 orthogonal post-selection; 4 unphysical TOF range; 1 other library
@@ -135,26 +141,16 @@ def cmd_simulate(args):
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
     files = []
-    centroids = []
     for d in range(len(cfg.detectors)):
-        noiseless = spectra.simulate_spectrum(cfg, sample, d)
-        spec = noiseless
+        spec = spectra.simulate_spectrum(cfg, sample, d)
         if args.counts > 0:
-            spec = spectra.poisson_sample(noiseless, args.counts,
+            spec = spectra.poisson_sample(spec, args.counts,
                                           _per_detector_seed(args.seed, d))
         # "seed" stays the Poisson seed; reduce echoes "run_seed" downstream
         spec = replace(spec, metadata={**spec.metadata, "run_seed": args.seed})
         path = os.path.join(outdir, f"spectrum_det{d:03d}.csv")
         spectra.write_spectrum_csv(spec, path)
         files.append(os.path.basename(path))
-        # the preview reduces the spectrum just written the way `reduce` does,
-        # so preview_fit carries the same centroid weights as `fit`
-        red = analysis.reduce_spectrum(spec, poisson_errors=True)
-        try:
-            pt, _ = analysis.centroid_ke(red)
-            centroids.append({"detector": d, "K": pt.k, "E": pt.e, "sigma_E": pt.sigma_e})
-        except WmScatterError:
-            centroids.append({"detector": d, "K": None, "E": None, "sigma_E": None})
     manifest = {
         "schema": 1,
         "seed": args.seed,
@@ -162,22 +158,8 @@ def cmd_simulate(args):
         "instrument": spectra.instrument_to_dict(cfg),
         "sample": spectra.sample_summary(sample),
         "files": files,
-        "preview_centroids": centroids,
     }
-    pts = [analysis.KEPoint(c["K"], c["E"], c["sigma_E"]) for c in centroids
-           if c["K"] is not None]
-    if len(pts) >= 4:
-        fit = analysis.fit_roto_recoil(pts, m_free=sample.mass) \
-            if sample.e_rot > 0 else \
-            analysis.fit_recoil_mass(pts, m_free=sample.mass)
-        manifest["preview_fit"] = {
-            "M_eff": fit.m_eff,
-            "E_rot_fit": fit.e_rot_fit,
-            "classification": fit.classification,
-        }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _emit_json(manifest, os.path.join(outdir, "manifest.json"))
     return 0
 
 
@@ -204,7 +186,9 @@ def cmd_reduce(args):
         try:
             spec = analysis.ingest_spectrum(path)
             seed = spec.metadata.get("run_seed", seed)
-            red = analysis.reduce_spectrum(spec, poisson_errors=True)
+            # a sampled spectrum records its Poisson seed, a noiseless one null
+            red = analysis.reduce_spectrum(
+                spec, poisson_errors=spec.metadata.get("seed") is not None)
             ke_path = os.path.join(
                 outdir, f"ke_det{spec.detector_index:03d}.csv")
             _write_ke_csv(red, spec.metadata, ke_path)
@@ -250,12 +234,14 @@ def cmd_fit(args):
         "schema": 1,
         "seed": meta.get("seed", args.seed),
         "model": args.model,
-        "n_points": len(pts),
+        "n_points": len(pts) - len(fit.left_out),
         "M_eff": fit.m_eff,
         "stderr": fit.stderr,
         "E_rot_fit": fit.e_rot_fit,
         "E_rot_stderr": fit.e_rot_stderr,
     }
+    if fit.left_out:   # only then, so a fit of every point keeps its layout
+        doc["left_out"] = [recs[i][0] for i in fit.left_out]
     if args.m_free is not None:
         doc["deficit_report"] = analysis.deficit_report(fit, args.m_free)
     _emit_json(doc, args.out)

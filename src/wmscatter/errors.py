@@ -35,10 +35,6 @@ class BadCentering(WmScatterError):
     """Pre/post states are not centered where the deficit definition requires."""
 
 
-class IllConditionedWeakValue(WmScatterError):
-    """A pointer shift was requested from an ill-conditioned weak value."""
-
-
 class NonPositiveLength(WmScatterError):
     """Scattering length / wavelength must be positive."""
 

@@ -28,7 +28,6 @@ from . import constants as C
 from .errors import (
     BadCentering,
     GridMismatch,
-    IllConditionedWeakValue,
     NonPositiveInput,
     NonPositiveLength,
     OrthogonalSelection,
@@ -50,11 +49,10 @@ PLANE_WAVE_RATIO = 1e-3
 
 @dataclass(frozen=True)
 class WeakValueResult:
-    """Complex weak value with conditioning diagnostics."""
+    """Complex weak value and the pre/post overlap it was divided by."""
 
     value: complex
     overlap_mag: float
-    ill_conditioned: bool
 
 
 @dataclass(frozen=True)
@@ -105,34 +103,29 @@ def _post_overlaps(post: WaveFunction, grid, kets, observable, hbar_k):
 
 
 def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
-               hbar_k: float = 0.0, raise_on_orthogonal: bool = True) -> WeakValueResult:
+               hbar_k: float = 0.0) -> WeakValueResult:
     """<post|A|pre>/<post|pre> for A = P or A = P - hbarK.
 
     Raises OrthogonalSelection when the overlap magnitude (relative to the
-    product of norms) falls below EPS_OVERLAP_DEFAULT; pass
-    raise_on_orthogonal=False to get an ill-conditioned result with value=nan
-    instead.
+    product of norms) falls below EPS_OVERLAP_DEFAULT.
     """
     post_norm, [(denom, numer)] = _post_overlaps(post, pre.grid, [pre], observable, hbar_k)
     norms = math.sqrt(post_norm * pre.norm_sq())
     overlap_mag = abs(denom) / norms if norms > 0 else 0.0
     if overlap_mag < EPS_OVERLAP_DEFAULT:
-        if raise_on_orthogonal:
-            raise OrthogonalSelection(
-                f"|<post|pre>| = {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
-        return WeakValueResult(complex(float("nan"), float("nan")),
-                               overlap_mag, True)
-    return WeakValueResult(numer / denom, overlap_mag, False)
+        raise OrthogonalSelection(
+            f"|<post|pre>| = {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
+    return WeakValueResult(numer / denom, overlap_mag)
 
 
 def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
-                     hbar_k: float = 0.0,
-                     raise_on_orthogonal: bool = True) -> WeakValueResult:
+                     hbar_k: float = 0.0) -> WeakValueResult:
     """Weak value for a pre-selected mixture rho = sum_i w_i |psi_i><psi_i|:
 
         (A)_w = sum_i w_i <post|A|psi_i><psi_i|post> / sum_i w_i |<post|psi_i>|^2.
 
-    Reduces to weak_value() for a single component.
+    Reduces to weak_value() for a single component, and raises
+    OrthogonalSelection as it does.
     """
     post_norm, overlaps = _post_overlaps(
         post, pre.grid, [psi for _, psi in pre.components], observable, hbar_k)
@@ -143,12 +136,9 @@ def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
         denom += w * abs(ov) ** 2
     overlap_mag = math.sqrt(max(denom, 0.0) / post_norm)
     if overlap_mag < EPS_OVERLAP_DEFAULT:
-        if raise_on_orthogonal:
-            raise OrthogonalSelection(
-                f"mixed overlap {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
-        return WeakValueResult(complex(float("nan"), float("nan")),
-                               overlap_mag, True)
-    return WeakValueResult(complex(numer / denom), overlap_mag, False)
+        raise OrthogonalSelection(
+            f"mixed overlap {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
+    return WeakValueResult(complex(numer / denom), overlap_mag)
 
 
 def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float) -> float:
@@ -173,8 +163,6 @@ def pointer_momentum_shift(model: CouplingModel, coupling_wv: WeakValueResult) -
     sign="plus":     -lambda * Re[(P - hbarK)_w]   (= +lambda*pi, a deficit)
     sign="minus_mu": +lambda * Re[(P - hbarK)_w]   (= -lambda*pi, unphysical)
     """
-    if coupling_wv.ill_conditioned:
-        raise IllConditionedWeakValue("cannot form a pointer shift near orthogonal selection")
     re = coupling_wv.value.real
     return -model.lam * re if model.sign == "plus" else +model.lam * re
 

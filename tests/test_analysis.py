@@ -201,7 +201,7 @@ def test_fit_roto_is_the_optimum_in_mass_parameters(weighted):
 
 
 def test_fit_rejects_non_positive_sigma():
-    # a given sigma_E must be positive; None alone means unweighted
+    # a given sigma_E must be positive; None alone leaves the point out
     ks = np.linspace(1.2, 4.5, 8)
     pts = [KEPoint(k, 14.7 + C.ATOM_E_COEF * k**2 / 0.64, 0.1) for k in ks]
     for bad in (0.0, -0.5, float("nan")):
@@ -212,6 +212,32 @@ def test_fit_rejects_non_positive_sigma():
             an.fit_recoil_mass(worse)
     unweighted = [KEPoint(pts[0].k, pts[0].e, None)] + pts[1:]
     assert an.fit_roto_recoil(unweighted).m_eff == pytest.approx(0.64, rel=1e-8)
+
+
+def test_fit_leaves_out_points_without_sigma():
+    """One missing sigma_E leaves its point out of an absolutely weighted
+    fit of the rest; it does not turn every point unweighted."""
+    rng = np.random.default_rng(4)
+    ks = np.linspace(1.2, 4.5, 12)
+    sig = 0.1 + 0.02 * ks
+    pts = [KEPoint(k, 14.7 + C.ATOM_E_COEF * k**2 / 0.64 + rng.normal(0.0, s), s)
+           for k, s in zip(ks, sig)]
+    blank = [KEPoint(pts[0].k, pts[0].e + 3.0, None)] + pts[1:]
+
+    def figures(fit):
+        return fit.m_eff, fit.stderr, fit.e_rot_fit, fit.e_rot_stderr
+    for fit in (lambda p: an.fit_roto_recoil(p, m_free=2.01), an.fit_recoil_mass,
+                lambda p: an.fit_roto_recoil(p, pin_e_rot=14.7)):
+        got, want = fit(blank), fit(pts[1:])
+        assert got.left_out == (0,) and want.left_out == ()
+        assert figures(got) == figures(want)
+    # the points left with sigma_E must still be enough
+    few = [KEPoint(p.k, p.e, None) for p in pts[:9]] + pts[9:]
+    with pytest.raises(InsufficientPoints):
+        an.fit_roto_recoil(few)
+    assert an.fit_recoil_mass(few).left_out == tuple(range(9))
+    # with no sigma_E anywhere every point is fitted, unweighted
+    assert an.fit_roto_recoil([KEPoint(p.k, p.e, None) for p in pts]).left_out == ()
 
 
 def test_fit_roto_needs_four_points():
@@ -354,6 +380,14 @@ def test_audit_stderr_of_one_is_a_weight():
         moved = [(peaks[0][0], replace(peaks[0][1], centroid_err=err))] + peaks[1:]
         refits.append(an.calibration_audit(cfg, moved, 2.01).refit_mass)
     assert refits[0] == pytest.approx(refits[1], rel=1e-6)
+
+
+def test_audit_refit_leaves_out_a_peak_without_stderr():
+    sample = make_sample(0.3, 2.01, deficit=DeficitInjection(0.1, 1.0))
+    cfg, peaks, _ = pipeline_peaks(sample, 0.3, range(60, 95, 5), counts=200000, seed=2)
+    blank = [(peaks[0][0], replace(peaks[0][1], centroid_err=None))] + peaks[1:]
+    assert an.calibration_audit(cfg, blank, 2.01).refit_mass == \
+        an.calibration_audit(cfg, peaks[1:], 2.01).refit_mass
 
 
 def test_audit_underdetermined():

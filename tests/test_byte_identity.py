@@ -182,12 +182,8 @@ def ref_reduce_spectrum(spec, cfg, det_index, poisson_errors=False):
     factor = (k1 / cfg.beam.k0) * jac * cfg.tof_bins.width
     with np.errstate(invalid="ignore", divide="ignore"):
         inten = np.where(valid, spec.counts / factor, 0.0)
-        err = None
-        if poisson_errors:
-            err = np.where(valid, np.sqrt(np.maximum(spec.counts, 1.0)) / factor, 0.0)
-    return analysis.ReducedDetector(spec.detector_index, t, kk, e, inten, err,
-                                    np.asarray(spec.counts, dtype=float),
-                                    np.where(valid, factor, np.nan))
+    return analysis.ReducedDetector(spec.detector_index, t, kk, e, inten,
+                                    np.where(valid, factor, np.nan), poisson_errors)
 
 
 def ref_gauss_jac(e, amp, center, width):
@@ -250,7 +246,7 @@ def ref_centroid_ke(red, window=None):
                                  np.arange(len(red.intensity) + 1, dtype=float),
                                  np.maximum(red.intensity, 0.0))
     fit = ref_peak_centroid(spec_like, red.e, window=window)
-    if red.intensity_err is not None and red.factor is not None:
+    if red.poisson:
         lo, hi = window if window is not None else ref_auto_window(red.e, spec_like.counts)
         mask = (red.e >= lo) & (red.e <= hi) & np.isfinite(red.factor)
         if np.count_nonzero(mask) >= 5:
@@ -278,9 +274,9 @@ def h2_bank(n_bins=2048):
 
 
 def reduced_bytes(red):
-    return [None if a is None else np.asarray(a).tobytes()
-            for a in (red.t, red.k, red.e, red.intensity, red.intensity_err,
-                      red.counts, red.factor)] + [red.detector_index]
+    return [np.asarray(a).tobytes()
+            for a in (red.t, red.k, red.e, red.intensity, red.factor)] + \
+        [red.detector_index, red.poisson]
 
 
 def assert_same_reduction_and_centroid(spec, cfg, d, poisson_errors, window=None):
@@ -342,14 +338,13 @@ def test_leading_nan_energy_bins_match_reference():
 
 
 def test_chi2_stderr_fallback_matches_reference():
-    # count errors without the per-bin factor: the sandwich cannot be formed
+    # Poisson counts reduced as a noiseless density: the chi^2-scaled stderr
     cfg, sample = h2_bank()
     spec = spectra.poisson_sample(spectra.simulate_spectrum(cfg, sample, 4), 200000, seed=6)
-    red = replace(analysis.reduce_spectrum(spec, cfg, 4, poisson_errors=True), factor=None)
+    red = analysis.reduce_spectrum(spec, cfg, 4, poisson_errors=False)
     got, want = analysis.centroid_ke(red), ref_centroid_ke(red)
     assert repr(got) == repr(want)
-    sandwich = analysis.centroid_ke(replace(red, factor=ref_reduce_spectrum(
-        spec, cfg, 4, True).factor))
+    sandwich = analysis.centroid_ke(replace(red, poisson=True))
     assert sandwich[0].sigma_e != got[0].sigma_e
 
 

@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from wmscatter import analysis, cli, spectra
+from wmscatter import constants as C
 from wmscatter.errors import ParseError
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam
 
@@ -19,23 +20,26 @@ LAM = 2.0 * (1.0 - math.sqrt(M_EFF / M_FREE))
 RUN_SEED = 11
 
 
-@pytest.fixture
-def h2_inputs(tmp_path):
-    """Instrument and sample JSON for the paper's H2 case: 5 detectors,
-    512 TOF bins."""
+def write_h2_inputs(tmp_path, angles=(8, 13, 18, 23, 28), n_bins=512):
+    """Instrument and sample JSON for the paper's H2 case, by default with
+    5 detectors and 512 TOF bins."""
     doc = {"schema": 1, "M": M_FREE, "E_rot": E_ROT,
            "momentum_dist": {"type": "gaussian", "sigma": SIGMA_P},
            "deficit": {"lambda": LAM, "width_ratio": 1.0}}
     sample_path = tmp_path / "sample.json"
     sample_path.write_text(json.dumps(doc))
     beam = NeutronBeam(90.0)
-    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a))
-                 for a in (8, 13, 18, 23, 28))
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a)) for a in angles)
     bins = spectra.recoil_tof_window(beam, dets, spectra.sample_from_dict(doc),
-                                     SIGMA_P, n_bins=512)
+                                     SIGMA_P, n_bins=n_bins)
     inst_path = tmp_path / "instrument.json"
     spectra.save_instrument_json(spectra.InstrumentConfig(beam, dets, bins), inst_path)
     return tmp_path, str(inst_path), str(sample_path)
+
+
+@pytest.fixture
+def h2_inputs(tmp_path):
+    return write_h2_inputs(tmp_path)
 
 
 def run(argv):
@@ -59,6 +63,11 @@ def test_full_chain(h2_inputs, capsys):
          "--counts", 200000, *seed, "--out", sim])
     manifest = json.loads((sim / "manifest.json").read_text())
     assert manifest["seed"] == RUN_SEED
+    # simulate writes spectra and their manifest; centroids and fits are
+    # the products of reduce and fit alone
+    assert sorted(manifest) == ["counts_per_detector", "files", "instrument",
+                                "sample", "schema", "seed"]
+    assert sorted(os.listdir(sim)) == ["manifest.json", *manifest["files"]]
     for d, name in enumerate(manifest["files"]):
         meta = analysis.ingest_spectrum(sim / name).metadata
         assert meta["seed"] == cli._per_detector_seed(RUN_SEED, d)
@@ -76,8 +85,7 @@ def test_full_chain(h2_inputs, capsys):
     assert fit["seed"] == RUN_SEED
     assert fit["n_points"] == 5
     assert 0.55 < fit["M_eff"] < 0.7
-    # the simulate preview reduces and weights its centroids as reduce -> fit does
-    assert manifest["preview_fit"]["M_eff"] == fit["M_eff"]
+    assert "left_out" not in fit
 
     capsys.readouterr()
     run(["audit", "--instrument", inst, "--centroids", cen, "--free", "L1,theta",
@@ -93,6 +101,66 @@ def test_full_chain(h2_inputs, capsys):
     root = ET.parse(tmp / "ribbon.svg").getroot()
     assert root.tag.endswith("svg")
     assert len(list(root.iter("{http://www.w3.org/2000/svg}circle"))) >= 5
+
+
+@pytest.mark.parametrize("angles, n_bins, m_eff, max_stderr", [
+    ((8, 13, 18, 23, 28), 512, 0.6295557, 1e-2),
+    (range(8, 29, 2), 2048, 0.6296559, 1e-3),
+], ids=["5x512", "11x2048"])
+def test_noiseless_chain_gets_chi2_stderrs(tmp_path, angles, n_bins, m_eff, max_stderr):
+    """A noiseless spectrum records a null seed, so reduce scales its
+    centroid stderrs by the Gaussian fit's chi^2 and does not floor a
+    density's per-bin variance at one count (which gave sigma_E 7.6 meV at
+    8 degrees and a fit stderr of 1.31 on 5 x 512, 1.79 on 11 x 2048)."""
+    tmp, inst, sample = write_h2_inputs(tmp_path, angles, n_bins)
+    sim, red = tmp / "sim", tmp / "red"
+    run(["simulate", "--instrument", inst, "--sample", sample, "--counts", 0,
+         "--out", sim])
+    run(["reduce", "--input", sim, "--out", red])
+    _, recs = analysis.read_centroids_csv(red / "centroids.csv")
+    assert recs[0][1].sigma_e < 0.1   # meV, at 8 degrees
+    run(["fit", "--centroids", red / "centroids.csv", "--out", tmp / "fit.json"])
+    fit = json.loads((tmp / "fit.json").read_text())
+    assert fit["n_points"] == len(angles)
+    assert fit["stderr"] < max_stderr
+    # the centroid path's own bias against the injected 0.64, pinned
+    assert fit["M_eff"] == pytest.approx(m_eff, abs=1e-6)
+
+
+def test_reduce_takes_the_count_model_from_each_spectrum(h2_inputs, monkeypatch):
+    tmp, inst, sample = h2_inputs
+    seen = []
+
+    def spy(red, window=None):
+        seen.append(red.poisson)
+        return centroid_ke(red, window)
+    centroid_ke = analysis.centroid_ke
+    monkeypatch.setattr(analysis, "centroid_ke", spy)
+    for counts, poisson in ((0, False), (200000, True)):
+        sim = tmp / f"sim{counts}"
+        run(["simulate", "--instrument", inst, "--sample", sample,
+             "--counts", counts, "--out", sim])
+        seed = analysis.ingest_spectrum(sim / "spectrum_det000.csv").metadata["seed"]
+        assert (seed is not None) == poisson
+        seen.clear()
+        run(["reduce", "--input", sim, "--out", tmp / f"red{counts}"])
+        assert seen == [poisson] * 5
+
+
+def test_fit_leaves_out_detectors_without_sigma(h2_inputs):
+    tmp, _, _ = h2_inputs
+    cen, out = tmp / "centroids.csv", tmp / "fit.json"
+    ks = [1.1, 1.7, 2.2, 3.3, 3.8]
+    recs = [(d, analysis.KEPoint(k, E_ROT + C.ATOM_E_COEF * k**2 / M_EFF, 0.01))
+            for d, k in enumerate(ks)]
+    recs[2] = (2, analysis.KEPoint(ks[2], recs[2][1].e + 5.0, None))
+    analysis.write_centroids_csv(recs, cen)
+    run(["fit", "--centroids", cen, "--out", out])
+    fit = json.loads(out.read_text())
+    assert fit["n_points"] == 4
+    assert fit["left_out"] == [2]
+    # the shifted point, fitted with or without weight, would move M_eff
+    assert fit["M_eff"] == pytest.approx(M_EFF, rel=1e-9)
 
 
 def test_reduce_falls_back_to_cli_seed(h2_inputs, tmp_path):

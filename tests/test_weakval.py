@@ -12,7 +12,6 @@ import pytest
 from wmscatter.errors import (
     BadCentering,
     GridMismatch,
-    IllConditionedWeakValue,
     NonPositiveLength,
     OrthogonalSelection,
 )
@@ -75,7 +74,6 @@ def test_weak_value_equals_expectation_when_post_is_pre():
     g = gaussian_state(GRID, 0.0, 1.0)
     wv = weak_value(g, g, "P")
     assert abs(wv.value - expectation_p(g)) < 1e-12
-    assert not wv.ill_conditioned
 
 
 def test_equal_width_weak_value_is_half_transfer():
@@ -109,11 +107,8 @@ def test_weak_value_orthogonal_raises():
     post = gaussian_state(grid, 40.0, 1.0)
     with pytest.raises(OrthogonalSelection):
         weak_value(pre, post, "P")
-    wv = weak_value(pre, post, "P", raise_on_orthogonal=False)
-    assert wv.ill_conditioned
-    assert math.isnan(wv.value.real)
-    with pytest.raises(IllConditionedWeakValue):
-        pointer_momentum_shift(CouplingModel(0.01, 4.0), wv)
+    with pytest.raises(OrthogonalSelection):
+        weak_value_mixed(MixedState(((1.0, pre),)), post, "P")
 
 
 def test_states_on_different_grids_raise():
@@ -225,12 +220,12 @@ def test_gaussian_oracle_sweep_small():
 
 def test_pointer_momentum_shift_signs():
     # case C at hbarK=4: coupling weak value -2
-    cw = WeakValueResult(complex(-2.0, 0.0), 0.2, False)
+    cw = WeakValueResult(complex(-2.0, 0.0), 0.2)
     assert pointer_momentum_shift(CouplingModel(0.01, 4.0, "plus"), cw) == \
         pytest.approx(+0.02)
     assert pointer_momentum_shift(CouplingModel(0.01, 4.0, "minus_mu"), cw) == \
         pytest.approx(-0.02)
-    zero = WeakValueResult(0j, 0.9, False)
+    zero = WeakValueResult(0j, 0.9)
     assert pointer_momentum_shift(CouplingModel(0.5, 4.0), zero) == 0.0
 
 
