@@ -20,7 +20,6 @@ from .analysis import (
     calibration_audit,
     centroid_ke,
     deficit_report,
-    fit_recoil_mass,
     fit_roto_recoil,
     ingest_spectrum,
     reduce_spectrum,

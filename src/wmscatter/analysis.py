@@ -3,12 +3,13 @@ reporting against the conventional bound, calibration-masking audit, and
 the spectrum and centroid files, both tablefile tables (spectra need at
 least two rows, centroid tables do not).
 
-Two numpy least-squares routines serve every fit.  The recoil fit
-E = C_A K^2 / M and the roto-recoil fit E = E_rot + C_A K^2 / M are linear in
-(E_rot, 1/M), so both are solved in closed form by one weighted linear least
-squares (_linear_mass_fit).  The nonlinear fits, the Gaussian peak refinement
-and the calibration audit, use one damped Gauss-Newton (Levenberg-Marquardt)
-routine (_levenberg_marquardt).
+Two numpy least-squares routines serve every fit.  The roto-recoil fit
+E = E_rot + C_A K^2 / M is linear in (E_rot, 1/M), so one weighted linear
+least squares (_linear_mass_fit) solves it in closed form; the recoil fit is
+its case with E_rot pinned at 0.  The calibration audit maps peaks onto that
+line with E_rot profiled, under the mass fits' weighting rule, through one
+damped Gauss-Newton (Levenberg-Marquardt) routine (_levenberg_marquardt),
+which also serves the Gaussian peak refinement.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .kinematics import (
     KEPoint,
     effective_mass_bound_check,
     recoil_energy,
-    tof,
     trajectory,
 )
 from .spectra import (
@@ -74,9 +74,6 @@ class MassFitResult:
     stderr: float
     e_rot_fit: float = 0.0
     e_rot_stderr: float = 0.0
-    m_free: float | None = None
-    mass_ratio: float | None = None
-    deficit_fraction: float | None = None   # 1 - sqrt(M_eff/M_free)
     classification: str | None = None
     left_out: tuple = ()   # indices of the given points without sigma_e, not fitted
 
@@ -85,6 +82,7 @@ class MassFitResult:
 class CalibrationReport:
     adjusted_params: dict
     refit_mass: float
+    refit_e_rot: float
     masking_flag: bool
     residual_norm: float
     assumed_mass: float
@@ -279,32 +277,22 @@ def _linear_mass_fit(points, with_offset: bool) -> MassFitResult:
                          e_rot_fit=e_rot, e_rot_stderr=e_rot_err, left_out=left_out)
 
 
-def fit_recoil_mass(points, m_free: float | None = None) -> MassFitResult:
-    """Weighted least squares of E = C_A K^2 / M_eff (linear in 1/M_eff)."""
-    return _classified(_linear_mass_fit(list(points), with_offset=False), m_free)
-
-
 def fit_roto_recoil(points, pin_e_rot: float | None = None,
                     m_free: float | None = None) -> MassFitResult:
     """Two-parameter fit E = E_rot + C_A K^2 / M_eff, linear in (E_rot, 1/M_eff).
 
-    With pin_e_rot set, the offset is held fixed and the problem reduces to
-    fit_recoil_mass on the shifted energies.
+    With pin_e_rot set, the offset is held fixed: E - pin_e_rot = C_A K^2 /
+    M_eff, the free-recoil fit at 0.0.  m_free sets classification.
     """
     points = list(points)
-    if pin_e_rot is not None:
+    if pin_e_rot is None:
+        fit = _linear_mass_fit(points, with_offset=True)
+    else:
         shifted = [KEPoint(p.k, p.e - pin_e_rot, p.sigma_e) for p in points]
-        return replace(fit_recoil_mass(shifted, m_free), e_rot_fit=pin_e_rot)
-    return _classified(_linear_mass_fit(points, with_offset=True), m_free)
-
-
-def _classified(fit: MassFitResult, m_free) -> MassFitResult:
+        fit = replace(_linear_mass_fit(shifted, with_offset=False), e_rot_fit=pin_e_rot)
     if m_free is None:
         return fit
-    ratio = fit.m_eff / m_free
-    return replace(fit, m_free=m_free, mass_ratio=ratio,
-                   deficit_fraction=1.0 - math.sqrt(ratio),
-                   classification=effective_mass_bound_check(fit.m_eff, m_free))
+    return replace(fit, classification=effective_mass_bound_check(fit.m_eff, m_free))
 
 
 def deficit_report(fit: MassFitResult, m_free: float) -> dict:
@@ -429,19 +417,23 @@ AUDIT_MAX_SIGMAS = 3.0
 def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
                       free_params=(), masking_tol: float = 0.01) -> CalibrationReport:
     """Adjust chosen instrument parameters so the observed peak positions land
-    on the free-recoil line of the assumed mass.
+    on fit_roto_recoil's line E = E_rot + C_A K^2 / M of the assumed mass.
 
     observed_peaks: sequence of (detector_index, PeakFit) with energy-domain
-    centroids referred to cfg.  They are converted once to their (fixed,
-    map-independent) TOF positions; the chosen parameter deltas (shared across
-    detectors) are then fitted by least squares, every peak mapped back to
-    (K, E) by one trajectory call; a peak the shifted calibration cannot map
-    gets a 1e6 residual and no refit point.  masking_flag reports whether the
-    refitted mass agrees with assumed_m within masking_tol and every delta
-    lies within AUDIT_MAX_SIGMAS of its prior, i.e. whether a plausible
-    recalibration has absorbed whatever anomaly was present.  Each free delta
-    x_j adds the prior residual x_j / sigma_j to the fit, so residual_norm
-    includes those terms.
+    centroids referred to cfg.  As in the mass fits, when any peak has a
+    stderr (a positive centroid_err) only those are used, absolutely
+    weighted; otherwise all are used unweighted.  They are converted once to
+    their (fixed, map-independent) TOF positions; the chosen parameter deltas
+    (shared across detectors) are then fitted by least squares, every peak
+    mapped back to (K, E) by one trajectory call.  E_rot is profiled: the
+    weighted mean of E - C_A K^2 / M over the peaks the shifted calibration
+    can map; a peak it cannot map gets a 1e6 residual and no refit point.
+    The refit is fit_roto_recoil with E_rot free.  masking_flag reports
+    whether the refitted mass agrees with assumed_m within masking_tol and
+    every delta lies within AUDIT_MAX_SIGMAS of its prior, i.e. whether a
+    plausible recalibration has absorbed whatever anomaly was present.  Each
+    free delta x_j adds the prior residual x_j / sigma_j to the fit, so
+    residual_norm includes those terms.
     """
     peaks = list(observed_peaks)
     free = tuple(free_params)
@@ -459,15 +451,15 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
             raise UnknownDetector(f"no detector {d} among the instrument's {len(dets)}")
         if pf.centroid >= beam.e0:
             raise ValueError(f"centroid {pf.centroid} meV exceeds the incident energy")
-    t_peak = np.array([tof(dets[d], beam.v0, C.neutron_speed(beam.e0 - pf.centroid))
-                       for d, pf in peaks])
+    errs = np.array([pf.centroid_err or np.nan for _, pf in peaks], dtype=float)
+    absolute = bool((errs > 0).any())
+    if absolute:
+        peaks = [p for p, err in zip(peaks, errs) if err > 0]
+    sig = errs[errs > 0] if absolute else np.ones(len(peaks))
     base = {name: np.array([getattr(dets[d], name.lower()) for d, _ in peaks])
             for name in ("L0", "L1", "theta", "t0")}
-    # a missing stderr (None, nan or <= 0) weighs 1 here; the refit leaves
-    # its peak out unless no peak has one
-    errs = np.array([pf.centroid_err or np.nan for _, pf in peaks], dtype=float)
-    missing = ~(errs > 0)
-    sig = np.where(missing, 1.0, errs)
+    v1 = np.sqrt(C.VEL_SQ_PER_MEV * (beam.e0 - np.array([pf.centroid for _, pf in peaks])))
+    t_peak = (base["L0"] / beam.v0 + base["L1"] / v1) / C.US_S + base["t0"]
     prior = {**AUDIT_PRIOR_SIGMA, "E0": AUDIT_PRIOR_E0_FRACTION * beam.e0}
     free_prior = np.array([prior[name] for name in free])
 
@@ -484,8 +476,9 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
 
     def residuals(x):
         valid, e, kk = mapped(x)
-        data = np.where(valid, (e - recoil_energy(kk, assumed_m)) / sig, 1e6)
-        return np.concatenate([data, x / free_prior])
+        off = e - recoil_energy(kk, assumed_m)   # less the profiled E_rot:
+        off -= np.average(off[valid], weights=sig[valid] ** -2) if valid.any() else 0.0
+        return np.concatenate([np.where(valid, off / sig, 1e6), x / free_prior])
 
     def residuals_and_jacobian(x):
         r = residuals(x)
@@ -506,12 +499,13 @@ def calibration_audit(cfg: InstrumentConfig, observed_peaks, assumed_m: float,
         resid_norm = float(np.linalg.norm(r))
     deltas = {name: 0.0 for name in AUDIT_PARAMS} | dict(zip(free, x.tolist()))
     valid, e, kk = mapped(x)
-    refit = fit_recoil_mass([KEPoint(kk[i], e[i], None if missing[i] else sig[i])
+    refit = fit_roto_recoil([KEPoint(kk[i], e[i], sig[i] if absolute else None)
                              for i in np.flatnonzero(valid)])
     sigmas = {name: deltas[name] / prior[name] for name in AUDIT_PARAMS}
     masking = bool(abs(refit.m_eff - assumed_m) / assumed_m < masking_tol
                    and all(abs(v) <= AUDIT_MAX_SIGMAS for v in sigmas.values()))
-    return CalibrationReport(deltas, refit.m_eff, masking, resid_norm, assumed_m, sigmas)
+    return CalibrationReport(deltas, refit.m_eff, refit.e_rot_fit, masking, resid_norm,
+                             assumed_m, sigmas)
 
 
 def report_text(report: CalibrationReport) -> str:
@@ -519,6 +513,7 @@ def report_text(report: CalibrationReport) -> str:
     lines = ["calibration audit",
              f"  assumed mass : {report.assumed_mass:.4g} amu",
              f"  refit mass   : {report.refit_mass:.4g} amu",
+             f"  refit E_rot  : {report.refit_e_rot:.4g} meV",
              f"  masking      : {'YES' if report.masking_flag else 'no'}",
              f"  residual norm: {report.residual_norm:.4g}",
              "  parameter deltas (prior sigmas):"]

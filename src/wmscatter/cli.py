@@ -17,8 +17,10 @@ round to 4 significant digits); the seed is echoed in every product.
 simulate writes the spectra and manifest.json, nothing more.  reduce takes
 each spectrum's count model from its metadata: sigma_E is the Poisson
 sandwich for a sampled spectrum and chi^2-scaled for a noiseless one (seed
-null).  fit weights by sigma_E, leaving out (and listing in left_out) any
-detector without one, unless none has one.
+null).  fit fits E = E_rot + C_A K^2 / M; --model recoil pins E_rot at 0
+(and so takes no --pin-erot).  audit maps the peaks onto the same line with
+E_rot profiled and refits it.  Both weight by sigma_E, leaving out (fit
+lists in left_out) any detector without one, unless none has one.
 
 Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter among
 them), a config parse failure or a centroid of a detector the instrument
@@ -225,11 +227,11 @@ def _read_ke_csv(path):
 def cmd_fit(args):
     meta, recs = analysis.read_centroids_csv(args.centroids)
     pts = [pt for _, pt in recs]
-    if args.model == "recoil":
-        fit = analysis.fit_recoil_mass(pts, m_free=args.m_free)
-    else:
-        fit = analysis.fit_roto_recoil(pts, pin_e_rot=args.pin_erot,
-                                       m_free=args.m_free)
+    if args.model == "recoil" and args.pin_erot is not None:
+        raise ValueError("--pin-erot cannot be combined with --model recoil, "
+                         "which pins E_rot at 0")
+    pin = 0.0 if args.model == "recoil" else args.pin_erot
+    fit = analysis.fit_roto_recoil(pts, pin_e_rot=pin, m_free=args.m_free)
     doc = {
         "schema": 1,
         "seed": meta.get("seed", args.seed),
@@ -265,6 +267,7 @@ def cmd_audit(args):
         "adjusted_params": report.adjusted_params,
         "delta_sigmas": report.delta_sigmas,
         "refit_mass": report.refit_mass,
+        "refit_e_rot": report.refit_e_rot,
         "masking_flag": report.masking_flag,
         "residual_norm": report.residual_norm,
     }

@@ -69,10 +69,6 @@ class MomentumGrid:
     def dp(self):
         return (self.p_max - self.p_min) / (self.n_points - 1)
 
-    @property
-    def span(self):
-        return self.p_max - self.p_min
-
 
 def grid_for_gaussians(centers, sigmas, span_sigmas=SPAN_SIGMAS,
                        points_per_sigma=POINTS_PER_SIGMA, min_points=MIN_POINTS):

@@ -131,16 +131,16 @@ def recoil_points(mass, ks, e_rot=0.0, sigma=None, rng=None):
 
 def test_fit_recoil_exact_recovery():
     pts = recoil_points(2.01, np.linspace(1.0, 8.0, 12))
-    fit = an.fit_recoil_mass(pts)
+    fit = an.fit_roto_recoil(pts, pin_e_rot=0.0)
     assert fit.m_eff == pytest.approx(2.01, abs=1e-10)
     assert fit.stderr == pytest.approx(0.0, abs=1e-8)
 
 
 def test_fit_recoil_errors():
     with pytest.raises(InsufficientPoints):
-        an.fit_recoil_mass(recoil_points(2.0, [1.0, 2.0]))
+        an.fit_roto_recoil(recoil_points(2.0, [1.0, 2.0]), pin_e_rot=0.0)
     with pytest.raises(CollinearDegeneracy):
-        an.fit_recoil_mass(recoil_points(2.0, [3.0, 3.0, 3.0]))
+        an.fit_roto_recoil(recoil_points(2.0, [3.0, 3.0, 3.0]), pin_e_rot=0.0)
 
 
 def test_fit_recoil_rotational_line_mass():
@@ -148,7 +148,7 @@ def test_fit_recoil_rotational_line_mass():
     rng = np.random.default_rng(5)
     ks = np.linspace(2.2, 3.2, 8)
     pts = recoil_points(1.0079, ks, sigma=0.05, rng=rng)
-    fit = an.fit_recoil_mass(pts, m_free=1.0079)
+    fit = an.fit_roto_recoil(pts, pin_e_rot=0.0, m_free=1.0079)
     assert abs(fit.m_eff - 1.0079) < 3.0 * fit.stderr + 1e-9
     assert fit.classification in ("conventional", "anomalous")
 
@@ -159,11 +159,11 @@ def test_fit_roto_exact_recovery_and_reduction():
     fit = an.fit_roto_recoil(pts)
     assert fit.m_eff == pytest.approx(0.64, rel=1e-8)
     assert fit.e_rot_fit == pytest.approx(14.7, rel=1e-8)
-    # pinned offset on pure-recoil data reduces to the linear recoil fit
+    # an offset pinned at 0 is the one-parameter recoil fit, 1/M = sum(x E) / sum(x^2)
     pure = recoil_points(2.01, ks)
     pinned = an.fit_roto_recoil(pure, pin_e_rot=0.0)
-    plain = an.fit_recoil_mass(pure)
-    assert pinned.m_eff == pytest.approx(plain.m_eff, rel=1e-12)
+    x = C.ATOM_E_COEF * ks**2
+    assert pinned.m_eff == pytest.approx((x @ x) / (x @ [p.e for p in pure]), rel=1e-12)
     assert pinned.e_rot_fit == 0.0
 
 
@@ -209,7 +209,7 @@ def test_fit_rejects_non_positive_sigma():
         with pytest.raises(ValueError):
             an.fit_roto_recoil(worse)
         with pytest.raises(ValueError):
-            an.fit_recoil_mass(worse)
+            an.fit_roto_recoil(worse, pin_e_rot=0.0)
     unweighted = [KEPoint(pts[0].k, pts[0].e, None)] + pts[1:]
     assert an.fit_roto_recoil(unweighted).m_eff == pytest.approx(0.64, rel=1e-8)
 
@@ -226,7 +226,8 @@ def test_fit_leaves_out_points_without_sigma():
 
     def figures(fit):
         return fit.m_eff, fit.stderr, fit.e_rot_fit, fit.e_rot_stderr
-    for fit in (lambda p: an.fit_roto_recoil(p, m_free=2.01), an.fit_recoil_mass,
+    for fit in (lambda p: an.fit_roto_recoil(p, m_free=2.01),
+                lambda p: an.fit_roto_recoil(p, pin_e_rot=0.0),
                 lambda p: an.fit_roto_recoil(p, pin_e_rot=14.7)):
         got, want = fit(blank), fit(pts[1:])
         assert got.left_out == (0,) and want.left_out == ()
@@ -235,7 +236,7 @@ def test_fit_leaves_out_points_without_sigma():
     few = [KEPoint(p.k, p.e, None) for p in pts[:9]] + pts[9:]
     with pytest.raises(InsufficientPoints):
         an.fit_roto_recoil(few)
-    assert an.fit_recoil_mass(few).left_out == tuple(range(9))
+    assert an.fit_roto_recoil(few, pin_e_rot=0.0).left_out == tuple(range(9))
     # with no sigma_E anywhere every point is fitted, unweighted
     assert an.fit_roto_recoil([KEPoint(p.k, p.e, None) for p in pts]).left_out == ()
 
@@ -278,7 +279,7 @@ def test_anomalous_upshift_direction():
     # must come out as a reduced effective mass
     ks = np.linspace(2.0, 7.0, 9)
     pts = [KEPoint(k, 1.07 * C.ATOM_E_COEF * k**2 / 1.0079) for k in ks]
-    fit = an.fit_recoil_mass(pts, m_free=1.0079)
+    fit = an.fit_roto_recoil(pts, pin_e_rot=0.0, m_free=1.0079)
     assert fit.m_eff < 1.0079
     assert fit.classification == "anomalous"
     assert 0.91 < fit.m_eff < 0.96
@@ -302,7 +303,12 @@ def test_audit_clean_data_near_zero_deltas():
     sample = make_sample(0.3, 2.01)
     cfg, peaks, _ = pipeline_peaks(sample, 0.3, range(60, 95, 5))
     rep = an.calibration_audit(cfg, peaks, 2.01, free_params=("t0",))
-    assert abs(rep.adjusted_params["t0"]) < 0.5
+    # t0 (0.62 us) shares the constant offset with the profiled E_rot
+    assert abs(rep.delta_sigmas["t0"]) <= 1.0
+    # the roto-recoil line fits clean data (3.29), and freeing t0 lowers the
+    # residual below the zero-delta audit's (8.89)
+    assert rep.residual_norm < 4.0
+    assert rep.residual_norm < an.calibration_audit(cfg, peaks, 2.01).residual_norm
     assert rep.masking_flag
     assert rep.refit_mass == pytest.approx(2.01, rel=2e-3)
     assert "masking      : YES" in an.report_text(rep)
@@ -312,7 +318,7 @@ def test_audit_absorbs_small_deficit_with_t0():
     sample = make_sample(0.3, 2.01, deficit=DeficitInjection(0.1, 1.0))
     cfg, peaks, points = pipeline_peaks(sample, 0.3, range(60, 95, 5))
     # without recalibration the data is anomalous
-    raw = an.fit_recoil_mass(points, m_free=2.01)
+    raw = an.fit_roto_recoil(points, pin_e_rot=0.0, m_free=2.01)
     assert raw.classification == "anomalous"
     rep = an.calibration_audit(cfg, peaks, 2.01, free_params=("t0",))
     # t0 absorbs the deficit, but only by a shift far outside its 1 us prior,
@@ -347,8 +353,8 @@ def test_audit_monotone_t0_delta_in_lambda():
 
 def test_audit_absurd_adjustment_is_not_masking():
     # the 100-detector H2 bank at 8192 bins, Poisson seeds as in the bank_io
-    # benchmark with seed 1: freeing L1 and theta reaches the assumed mass
-    # only by turning theta through ~1.6 rad and shortening L1 by ~1.6 m
+    # benchmark with seed 1: freeing L1 and theta comes near the assumed mass
+    # only by shortening L1 by ~1.75 m (~175 sigma), theta moving ~4 sigma
     m_free, m_eff = 2.01, 0.64
     lam = 2.0 * (1.0 - math.sqrt(m_eff / m_free))
     sample = make_sample(0.3, m_free, e_rot=14.7, deficit=DeficitInjection(lam, 1.0))
@@ -364,8 +370,8 @@ def test_audit_absurd_adjustment_is_not_masking():
         peaks.append((d, an.PeakFit(pt.e, 1.0, 1.0, 0.0, centroid_err=pt.sigma_e)))
     rep = an.calibration_audit(cfg, peaks, m_free, free_params=("L1", "theta"))
     assert abs(rep.refit_mass - m_free) / m_free < 0.01
-    assert rep.adjusted_params["theta"] > 1.0
     assert rep.adjusted_params["L1"] < -1.0
+    assert rep.delta_sigmas["L1"] < -an.AUDIT_MAX_SIGMAS
     assert rep.delta_sigmas["theta"] > an.AUDIT_MAX_SIGMAS
     assert not rep.masking_flag
 

@@ -389,17 +389,30 @@ def ref_ke_under(cfg, det_index, t_peak, deltas):
 
 
 def ref_audit_points(cfg, peaks, assumed_m, deltas):
-    """Per peak: the data residual (1e6 where the deltas leave no (K, E)) and
-    the KEPoint the refit uses (None there)."""
+    """Per peak that the mass fits' weighting rule keeps: the data residual
+    about the profiled E_rot (1e6 where the deltas leave no (K, E)) and the
+    KEPoint the refit uses (None there)."""
+    errs = [pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0) else None
+            for _, pf in peaks]
+    if any(err is not None for err in errs):
+        peaks = [p for p, err in zip(peaks, errs) if err is not None]
+        errs = [err for err in errs if err is not None]
+    kes = [ref_ke_under(cfg, d, ref_peak_tof(cfg, d, pf.centroid), deltas)
+           for d, pf in peaks]
+    num = den = 0.0
+    for ke, err in zip(kes, errs):
+        if ke is not None:
+            w = 1.0 / (err or 1.0) ** 2
+            num += w * (ke[1] - C.ATOM_E_COEF * ke[0]**2 / assumed_m)
+            den += w
+    e_rot = num / den if den else 0.0
     out = []
-    for d, pf in peaks:
-        sig = pf.centroid_err if (pf.centroid_err and pf.centroid_err > 0) else 1.0
-        ke = ref_ke_under(cfg, d, ref_peak_tof(cfg, d, pf.centroid), deltas)
+    for ke, err in zip(kes, errs):
         if ke is None:
             out.append((1e6, None))
         else:
-            out.append(((ke[1] - C.ATOM_E_COEF * ke[0]**2 / assumed_m) / sig,
-                        KEPoint(ke[0], ke[1], sig if sig != 1.0 else None)))
+            off = ke[1] - C.ATOM_E_COEF * ke[0]**2 / assumed_m
+            out.append(((off - e_rot) / (err or 1.0), KEPoint(ke[0], ke[1], err)))
     return out
 
 
@@ -446,7 +459,7 @@ def test_audit_residuals_match_scalar_reference(monkeypatch, deltas):
     ref = ref_audit_points(cfg, peaks, 2.01, deltas)
     assert all(pt is not None for _, pt in ref)
     np.testing.assert_allclose(got, [r for r, _ in ref], rtol=1e-12, atol=0.0)
-    want = analysis.fit_recoil_mass([pt for _, pt in ref])
+    want = analysis.fit_roto_recoil([pt for _, pt in ref])
     assert rep.refit_mass == pytest.approx(want.m_eff, rel=1e-12)
 
 
@@ -473,8 +486,8 @@ def test_audit_sentinels_match_scalar_reference(monkeypatch):
         assert all(got[d] == 1e6 for d in gone)
         kept = [d for d in range(11) if d not in gone]
         np.testing.assert_allclose(got[kept], [ref[d][0] for d in kept], rtol=1e-12)
-        if len(kept) < 3:
+        if len(kept) < 4:   # the roto-recoil refit's minimum
             assert isinstance(rep, InsufficientPoints), deltas
         else:
-            want = analysis.fit_recoil_mass([ref[d][1] for d in kept])
+            want = analysis.fit_roto_recoil([ref[d][1] for d in kept])
             assert rep.refit_mass == pytest.approx(want.m_eff, rel=1e-12), deltas

@@ -163,6 +163,53 @@ def test_fit_leaves_out_detectors_without_sigma(h2_inputs):
     assert fit["M_eff"] == pytest.approx(M_EFF, rel=1e-9)
 
 
+def test_fit_recoil_rejects_a_pinned_offset(h2_inputs, capsys):
+    """--model recoil is the roto-recoil line with E_rot pinned at 0, so a
+    second pin is refused rather than silently dropped."""
+    tmp, _, _ = h2_inputs
+    cen = tmp / "centroids.csv"
+    analysis.write_centroids_csv(
+        [(d, analysis.KEPoint(k, C.ATOM_E_COEF * k**2 / M_EFF, 0.01))
+         for d, k in enumerate([1.1, 1.7, 2.2, 3.3])], cen)
+    assert cli.main(["fit", "--centroids", str(cen), "--model", "recoil",
+                     "--pin-erot", "14.7"]) == 2
+    err = capsys.readouterr().err
+    assert "--pin-erot" in err and "--model recoil" in err
+
+
+@pytest.mark.parametrize("counts", [200000, 0])
+def test_audit_asks_the_fits_question(h2_inputs, counts, capsys):
+    """At fit's own M_eff the audit maps the peaks onto fit's line
+    E = E_rot + C_A K^2 / M, so with nothing free it refits fit's mass and
+    masks, and freeing t0 leaves t0 within its prior.  The free mass stays
+    out of reach of a plausible L1 and theta."""
+    tmp, inst, sample = h2_inputs
+    sim, red = tmp / "sim", tmp / "red"
+    cen = red / "centroids.csv"
+    run(["simulate", "--instrument", inst, "--sample", sample, "--counts", counts,
+         "--seed", RUN_SEED, "--out", sim])
+    run(["reduce", "--input", sim, "--out", red])
+    run(["fit", "--centroids", cen, "--out", tmp / "fit.json"])
+    fit = json.loads((tmp / "fit.json").read_text())
+
+    def audit(m, free=""):
+        run(["audit", "--instrument", inst, "--centroids", cen, "--assumed-m", repr(m),
+             "--free", free, "--out", tmp / "audit.json"])
+        return json.loads((tmp / "audit.json").read_text())
+
+    m_eff = fit["M_eff"]
+    fixed = audit(m_eff)
+    # the rest is centroid_ke's linear K interpolation against the exact map
+    assert fixed["refit_mass"] == pytest.approx(m_eff, rel=1e-6)
+    assert fixed["refit_e_rot"] == pytest.approx(fit["E_rot_fit"], abs=1e-3)   # meV
+    assert "refit E_rot" in capsys.readouterr().out
+    assert fixed["masking_flag"]
+    t0 = audit(m_eff, "t0")
+    assert abs(t0["delta_sigmas"]["t0"]) <= analysis.AUDIT_MAX_SIGMAS
+    assert t0["masking_flag"]
+    assert not audit(M_FREE, "L1,theta")["masking_flag"]
+
+
 def test_reduce_falls_back_to_cli_seed(h2_inputs, tmp_path):
     """Spectra without a recorded run seed take --seed, not their Poisson seed."""
     tmp, inst, sample = h2_inputs

@@ -320,7 +320,7 @@ def test_full_deficit_gives_half_momentum_fraction():
     # lambda=1, equal widths: fitted mass M/4, deficit fraction -50%
     sample = make_sample(0.3, 2.01, deficit=DeficitInjection(1.0, 1.0))
     pts = centroid_points(sample, 0.3, range(8, 26, 4), n_bins=256)
-    fit = analysis.fit_recoil_mass(pts, m_free=2.01)
+    fit = analysis.fit_roto_recoil(pts, pin_e_rot=0.0, m_free=2.01)
     assert fit.m_eff == pytest.approx(2.01 / 4.0, rel=0.02)
     rep = analysis.deficit_report(fit, 2.01)
     assert rep["deficit_percent"] == pytest.approx(-50.0, abs=1.0)
@@ -332,7 +332,7 @@ def test_deficit_monotone_in_lambda():
     for lam in (0.2, 0.5, 0.8, 1.0):
         sample = make_sample(0.3, 2.01, deficit=DeficitInjection(lam, 1.0))
         pts = centroid_points(sample, 0.3, range(8, 26, 4), n_bins=256)
-        masses.append(analysis.fit_recoil_mass(pts).m_eff)
+        masses.append(analysis.fit_roto_recoil(pts, pin_e_rot=0.0).m_eff)
     assert all(b < a for a, b in zip(masses, masses[1:]))
 
 
