@@ -22,11 +22,12 @@ null).  fit fits E = E_rot + C_A K^2 / M; --model recoil pins E_rot at 0
 E_rot profiled and refits it.  Both weight by sigma_E, leaving out (fit
 lists in left_out) any detector without one, unless none has one.
 
-Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter among
-them), a config parse failure or a centroid of a detector the instrument
-lacks; 3 orthogonal post-selection; 4 unphysical TOF range; 1 other library
-errors (for reduce, any input that failed; centroids.csv lists them and the
-rest).
+Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter, a
+non-finite or non-positive weakvalue input and one that needs a grid of more
+than qstate.MAX_POINTS nodes among them), a config parse failure or a
+centroid of a detector the instrument lacks; 3 orthogonal post-selection;
+4 unphysical TOF range; 1 other library errors (for reduce, any input that
+failed; centroids.csv lists them and the rest).
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ import numpy as np
 
 from . import analysis, spectra, svgplot, tablefile, weakval
 from .errors import (
+    GridTooLarge,
     MissingMetadata,
+    NonFiniteInput,
+    NonPositiveInput,
     OrthogonalSelection,
     ParseError,
     UnknownDetector,
@@ -320,8 +324,9 @@ def main(argv=None):
     except UnphysicalTOF as exc:
         print(f"error: unphysical TOF range: {exc}", file=sys.stderr)
         return 4
-    except (ParseError, MissingMetadata, UnknownDetector, FileNotFoundError,
-            json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ParseError, MissingMetadata, UnknownDetector, NonFiniteInput, NonPositiveInput,
+            GridTooLarge, FileNotFoundError, json.JSONDecodeError, KeyError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WmScatterError as exc:

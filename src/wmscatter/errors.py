@@ -18,6 +18,10 @@ class GridTooNarrow(WmScatterError):
     """A requested Gaussian does not fit inside the grid."""
 
 
+class GridTooLarge(WmScatterError):
+    """A grid would need more nodes than qstate.MAX_POINTS."""
+
+
 class NonPositiveSigma(WmScatterError):
     """Gaussian width must be strictly positive."""
 
@@ -41,6 +45,10 @@ class NonPositiveLength(WmScatterError):
 
 class NonPositiveInput(WmScatterError):
     """Generic positivity precondition violated."""
+
+
+class NonFiniteInput(WmScatterError):
+    """An input, or a quantity made from it, is NaN or infinite."""
 
 
 # --- kinematics errors --------------------------------------------------------

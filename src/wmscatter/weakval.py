@@ -28,6 +28,7 @@ from . import constants as C
 from .errors import (
     BadCentering,
     GridMismatch,
+    NonFiniteInput,
     NonPositiveInput,
     NonPositiveLength,
     OrthogonalSelection,
@@ -77,26 +78,24 @@ class CouplingModel:
             raise ValueError("sign must be 'plus' or 'minus_mu'")
 
 
-def _observable_values(points, observable, hbar_k):
-    if observable == "P":
-        return points
-    if observable == "P_minus_hbarK":
-        return points - hbar_k
-    raise ValueError(f"unknown observable {observable!r}")
-
-
 def _post_overlaps(post: WaveFunction, grid, kets, observable, hbar_k):
     """<post|post> and, for each ket, (<post|ket>, <A post|ket>).
 
     The sums run over post's support only, where it is not exactly zero; the
     trapezoid's endpoint terms count only where that window reaches a grid end.
+    A's values are built on the window's own slice of the axis.
     """
     if post.grid != grid:
         raise GridMismatch("states live on different momentum grids")
+    if observable not in ("P", "P_minus_hbarK"):
+        raise ValueError(f"unknown observable {observable!r}")
     lo, hi = post.support()
     ends, dp = (lo == 0, hi == grid.n_points), grid.dp
     bra = post.amplitudes[lo:hi]
-    a_bra = _observable_values(grid.points[lo:hi], observable, hbar_k) * bra
+    a_bra = grid.segment(lo, hi)
+    if observable == "P_minus_hbarK":
+        a_bra -= hbar_k
+    a_bra = a_bra * bra
     return (float(trapezoid_vdot(bra, bra, dp, ends).real),
             [(complex(trapezoid_vdot(bra, k.amplitudes[lo:hi], dp, ends)),
               complex(trapezoid_vdot(a_bra, k.amplitudes[lo:hi], dp, ends))) for k in kets])
@@ -183,7 +182,11 @@ def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5)
 
     pre is always Gaussian(0, sigma_i); post is Gaussian(hbarK, sigma_f) with
     sigma_f = PLANE_WAVE_RATIO*sigma_i (A), width_ratio*sigma_i (B), sigma_i (C).
+    Every input must be finite, width_ratio too where the case ignores it.
     """
+    for name, value in (("sigma_i", sigma_i), ("hbarK", hbar_k), ("width_ratio", width_ratio)):
+        if not math.isfinite(value):
+            raise NonFiniteInput(f"{name} must be finite (got {value!r})")
     if sigma_i <= 0:
         raise NonPositiveInput("sigma_i must be positive")
     if hbar_k <= 0:

@@ -10,7 +10,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from wmscatter import analysis, cli, spectra
+from wmscatter import analysis, cli, qstate, spectra
 from wmscatter import constants as C
 from wmscatter.errors import ParseError
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam
@@ -282,6 +282,24 @@ def test_ke_file_needs_its_column_header(h2_inputs, tmp_path):
         cli._read_ke_csv(path)
     assert err.value.line == 2
     assert cli.main(["plot", "--input", str(path), "--out", str(tmp / "r.svg")]) == 2
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--hbarK", "inf", "hbarK"), ("--hbarK", "nan", "hbarK"), ("--sigma-i", "1e300", "sigma"),
+    ("--sigma-i", "0", "sigma_i"), ("--width-ratio", "nan", "width_ratio")])
+def test_weakvalue_rejects_bad_input_with_exit_2(flag, value, named, capsys):
+    assert cli.main(["weakvalue", "--case", "B", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_weakvalue_grid_over_the_node_cap_exits_2(capsys):
+    # sigma_i = 1e-9 asks for a 2**44-node grid, which only the cap refuses
+    # before it is allocated
+    assert qstate.MAX_POINTS <= 1 << 24
+    assert cli.main(["weakvalue", "--case", "A", "--sigma-i", "1e-9"]) == 2
+    assert "MAX_POINTS" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy():

@@ -1,12 +1,20 @@
 """Tests for momentum-space states: construction and quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from wmscatter.errors import GridTooNarrow, NonPositiveSigma, NotNormalized
+from wmscatter.errors import (
+    GridTooLarge,
+    GridTooNarrow,
+    NonFiniteInput,
+    NonPositiveSigma,
+    NotNormalized,
+)
 from wmscatter.qstate import (
+    MAX_POINTS,
     MixedState,
     MomentumGrid,
     WaveFunction,
@@ -74,14 +82,18 @@ def test_gaussian_preconditions():
 
 
 def reference_gaussian_amplitudes(grid, center, sigma):
-    """gaussian_state's amplitudes from the plain windowed expression and a
-    full-grid norm: the bit-for-bit reference."""
+    """gaussian_state's amplitudes from the plain windowed expression on
+    np.linspace's axis, normalised by the trapezoid over that window alone:
+    the bit-for-bit reference."""
     half = 2.0 * sigma * math.sqrt(746.0)
-    lo, hi = np.searchsorted(grid.points, (center - half, center + half))
+    points = np.linspace(grid.p_min, grid.p_max, grid.n_points)
+    lo, hi = np.searchsorted(points, (center - half, center + half))
+    win = np.exp(-((points[lo:hi] - center) ** 2) / (4.0 * sigma**2))
+    ends = (win[0] ** 2 if lo == 0 else 0.0) + (win[-1] ** 2 if hi == grid.n_points else 0.0)
+    norm = (np.vdot(win, win) - 0.5 * ends) * grid.dp
     env = np.zeros(grid.n_points)
-    env[lo:hi] = np.exp(-((grid.points[lo:hi] - center) ** 2) / (4.0 * sigma**2))
-    norm = (np.vdot(env, env) - 0.5 * (env[0] * env[0] + env[-1] * env[-1])) * grid.dp
-    return np.array(env / math.sqrt(norm), dtype=complex)
+    env[lo:hi] = win / math.sqrt(norm)
+    return np.array(env, dtype=complex)
 
 
 def test_gaussian_state_bits_match_reference():
@@ -91,8 +103,8 @@ def test_gaussian_state_bits_match_reference():
              (GRID, -19.0, 0.2),        # clipped at node 0
              (GRID, -7.123, 0.0123),    # interior, a few nodes wide
              (grid_a, 2.3, 1e-3), (grid_a, 0.0, 1.0)]   # case A post and pre
-    # normalising over the support alone changes the last bit of about one
-    # random pair in twenty (pairs 54 and 60 here)
+    # a norm over the whole zero-padded grid instead of the support changes
+    # the last bit of random pairs 54 and 60 here
     rng = np.random.default_rng(5)
     for _ in range(80):
         center, sigma = rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-2.5, 0.3)
@@ -104,6 +116,100 @@ def test_gaussian_state_bits_match_reference():
         assert np.asarray(got.amplitudes, dtype=complex).tobytes() == want.tobytes()
         lo, hi = got.support()
         assert not want[:lo].any() and not want[hi:].any()
+
+
+def random_grids(seed, count):
+    """Seeded uniform grids of 8 to 3000 nodes, on both sides of zero, some
+    spanning it and some far from it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p_min = rng.uniform(-50.0, 20.0) * 10 ** rng.uniform(-3.0, 2.0)
+        width = 10 ** rng.uniform(-2.0, 3.0)
+        yield MomentumGrid(p_min, p_min + width, int(rng.integers(8, 3000)))
+
+
+def test_segment_is_linspace_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for grid in random_grids(11, 60):
+        n = grid.n_points
+        want = np.linspace(grid.p_min, grid.p_max, n)
+        windows = [(0, n), (0, 1), (n - 1, n), (0, 0), (n, n)]
+        windows += [tuple(sorted(rng.integers(0, n + 1, 2))) for _ in range(20)]
+        for lo, hi in windows:
+            seg = grid.segment(lo, hi)
+            assert seg.flags.writeable and seg.dtype == np.float64
+            assert seg.tobytes() == want[lo:hi].tobytes(), (grid, lo, hi)
+        assert grid.points.tobytes() == want.tobytes()
+
+
+def test_index_at_is_searchsorted():
+    # at every node, one ulp either side of it, between nodes and past both ends
+    checks = 0
+    for grid in random_grids(12, 40):
+        pts = np.linspace(grid.p_min, grid.p_max, grid.n_points)
+        mid = pts[:-1] + 0.5 * np.diff(pts)
+        span = grid.p_max - grid.p_min
+        probes = np.concatenate([pts, np.nextafter(pts, -np.inf), np.nextafter(pts, np.inf), mid,
+                                 [grid.p_min - span, grid.p_max + span, -np.inf, np.inf, np.nan]])
+        want = np.searchsorted(pts, probes)
+        got = [grid.index_at(float(p)) for p in probes]
+        assert got == want.tolist(), grid
+        checks += probes.size
+    assert checks > 100000
+
+
+def test_support_matches_searchsorted_on_random_states():
+    rng = np.random.default_rng(13)
+    for _ in range(60):
+        center, sigma = rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-2.5, 0.3)
+        grid = grid_for_gaussians([0.0, center], [1.0, sigma])
+        half = 2.0 * sigma * math.sqrt(746.0)
+        pts = np.linspace(grid.p_min, grid.p_max, grid.n_points)
+        want = np.searchsorted(pts, (center - half, center + half)).tolist()
+        assert list(gaussian_state(grid, center, sigma).support()) == want
+
+
+def test_grid_points_are_cached_and_read_only():
+    grid = MomentumGrid(-3.0, 5.0, 101)
+    pts = grid.points
+    assert grid.points is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0] = 1.0
+    assert grid == MomentumGrid(-3.0, 5.0, 101)
+
+
+def test_grid_rejects_what_it_cannot_hold():
+    for p_min, p_max in ((-np.inf, 0.0), (0.0, np.inf), (np.nan, 1.0), (-1e308, 1e308)):
+        with pytest.raises(NonFiniteInput):
+            MomentumGrid(p_min, p_max, 64)
+    with pytest.raises(NonFiniteInput, match="centers"):
+        grid_for_gaussians([0.0, np.nan], [1.0, 1.0])
+    with pytest.raises(NonFiniteInput, match="sigmas"):
+        grid_for_gaussians([0.0, 1.0], [1.0, np.inf])
+    with pytest.raises(NonFiniteInput, match="sigma"):
+        gaussian_state(MomentumGrid(-1e302, 1e302, 64), 0.0, 1e160)
+
+
+def test_node_cap_raises_before_allocating():
+    # the cap is what keeps a huge grid from being allocated: without it,
+    # these calls would ask for up to 2**44 nodes, so they need it to run
+    assert MAX_POINTS <= 1 << 24
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge):
+            MomentumGrid(0.0, 1.0, MAX_POINTS + 1)
+        with pytest.raises(GridTooLarge):
+            grid_for_gaussians([0.0, 4.0], [1e-9, 1e-12])
+        with pytest.raises(GridTooLarge):
+            grid_for_gaussians([0.0], [5e-324])
+        grid = MomentumGrid(0.0, 1.0, MAX_POINTS)   # a grid at the cap stores no axis
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    assert grid.segment(MAX_POINTS - 3, MAX_POINTS).tolist() == [
+        (MAX_POINTS - 3) * grid.dp, (MAX_POINTS - 2) * grid.dp, 1.0]
 
 
 def test_wavefunction_copies_callers_array():

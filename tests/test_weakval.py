@@ -5,6 +5,7 @@ separately constructed axis -- it never calls the library quadrature.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from wmscatter.errors import (
     BadCentering,
     GridMismatch,
+    NonFiniteInput,
     NonPositiveLength,
     OrthogonalSelection,
 )
@@ -386,3 +388,34 @@ def test_scenario_record_closed_form(case, hbar_k):
     closed = hbar_k * sigma_f**2 / (1.0 + sigma_f**2)
     assert abs(rec["deficit"] - closed) <= 5e-11 * closed
     assert rec["pointer_shift"] == lam * rec["deficit"]
+
+
+def peak_bytes(call):
+    """tracemalloc peak of call(), after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scenario_records_allocate_only_what_they_integrate():
+    # case A's 131072-node grid: the pre state's own 1 MiB buffer and the
+    # post state's zero-padded 1 MiB; a materialised axis or a second
+    # full-grid buffer for either state would add another 1 MiB
+    assert peak_bytes(lambda: scenario_record("A", 1.0, 2.3)) < 2.25 * 2**20
+    grid = scenario("A", 1.0, 2.3)[0].grid
+    assert peak_bytes(lambda: gaussian_state(grid, 0.0, 1.0)) < 1.25 * 2**20
+    for case in "BC":
+        assert peak_bytes(lambda: scenario_record(case, 1.0, 2.3)) < 42 * 1024
+
+
+def test_scenario_rejects_non_finite_inputs():
+    for kwargs, name in (({"sigma_i": np.inf}, "sigma_i"), ({"hbar_k": np.nan}, "hbarK"),
+                         ({"hbar_k": -np.inf}, "hbarK"), ({"width_ratio": np.nan}, "width_ratio")):
+        args = {"sigma_i": 1.0, "hbar_k": 2.0, "width_ratio": 0.5, **kwargs}
+        for kind in "ABC":
+            with pytest.raises(NonFiniteInput, match=name):
+                scenario(kind, **args)
