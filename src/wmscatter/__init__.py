@@ -61,11 +61,9 @@ from .weakval import (
     CouplingModel,
     WeakValueResult,
     deficit_sweep,
-    momentum_deficit,
     pointer_momentum_shift,
     scenario,
     scenario_record,
-    total_momentum_transfer,
     weak_value,
     weak_value_mixed,
     weakness_estimate,

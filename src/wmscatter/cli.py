@@ -24,8 +24,10 @@ lists in left_out) any detector without one, unless none has one.
 
 Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter, a
 non-finite or non-positive weakvalue input and one that needs a grid of more
-than qstate.MAX_POINTS nodes among them), a config parse failure or a
-centroid of a detector the instrument lacks; 3 orthogonal post-selection;
+than qstate.MAX_POINTS nodes among them), a config parse failure, a NaN or
+infinite instrument or sample value (E0, L0, L1, t0, M, E_rot; json.load
+takes NaN and Infinity) or a centroid of a detector the instrument lacks;
+3 orthogonal post-selection;
 4 unphysical TOF range; 1 other library errors (for reduce, any input that
 failed; centroids.csv lists them and the rest).
 """

@@ -35,10 +35,6 @@ class OrthogonalSelection(WmScatterError):
     """Pre/post overlap below threshold; the weak value diverges."""
 
 
-class BadCentering(WmScatterError):
-    """Pre/post states are not centered where the deficit definition requires."""
-
-
 class NonPositiveLength(WmScatterError):
     """Scattering length / wavelength must be positive."""
 

@@ -25,8 +25,8 @@ class NeutronBeam:
     e0: float
 
     def __post_init__(self):
-        if self.e0 <= 0:
-            raise ValueError("E0 must be positive")
+        if not 0 < self.e0 < math.inf:
+            raise ValueError(f"E0 = {self.e0!r} must be positive and finite")
 
     @property
     def k0(self):
@@ -55,8 +55,11 @@ class DetectorGeometry:
     t0: float = 0.0
 
     def __post_init__(self):
-        if self.l0 <= 0 or self.l1 <= 0:
-            raise ValueError("flight paths must be positive")
+        if not (0 < self.l0 < math.inf and 0 < self.l1 < math.inf):
+            raise ValueError(f"flight paths L0 = {self.l0!r} and L1 = {self.l1!r} "
+                             "must be positive and finite")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 = {self.t0!r} must be finite")
         if not 0 < self.theta < math.pi:
             raise ValueError("theta must lie in (0, pi)")
 

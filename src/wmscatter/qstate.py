@@ -122,13 +122,12 @@ class MomentumGrid:
         return i
 
 
-def grid_for_gaussians(centers, sigmas, span_sigmas=SPAN_SIGMAS,
-                       points_per_sigma=POINTS_PER_SIGMA, min_points=MIN_POINTS):
+def grid_for_gaussians(centers, sigmas):
     """Grid wide enough for all the listed Gaussians and fine enough for the
     narrowest one.
 
-    The span covers every center +- span_sigmas * max(sigma); n_points is the
-    smallest power of two >= min_points keeping dp <= min(sigma)/points_per_sigma.
+    The span covers every center +- SPAN_SIGMAS * max(sigma); n_points is the
+    smallest power of two >= MIN_POINTS keeping dp <= min(sigma)/POINTS_PER_SIGMA.
     """
     centers = np.atleast_1d(np.asarray(centers, dtype=float))
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
@@ -141,14 +140,14 @@ def grid_for_gaussians(centers, sigmas, span_sigmas=SPAN_SIGMAS,
         raise NonFiniteInput(f"sigmas must be finite (got {sigmas.tolist()})")
     if s_min <= 0:
         raise NonPositiveSigma("all sigmas must be positive")
-    pad = span_sigmas * s_max
+    pad = SPAN_SIGMAS * s_max
     lo = c_min - pad
     hi = c_max + pad
-    target_dp = s_min / points_per_sigma
+    target_dp = s_min / POINTS_PER_SIGMA
     if not hi - lo < MAX_POINTS * target_dp:
         raise GridTooLarge(f"spanning [{lo}, {hi}] at dp <= {target_dp} "
                            f"needs more than MAX_POINTS = {MAX_POINTS} nodes")
-    n = max(min_points, int(math.ceil((hi - lo) / target_dp)) + 1)
+    n = max(MIN_POINTS, int(math.ceil((hi - lo) / target_dp)) + 1)
     n = 1 << (n - 1).bit_length()
     return MomentumGrid(lo, hi, n)
 
@@ -220,8 +219,8 @@ class MixedState:
         if not comps:
             raise ValueError("mixed state needs at least one component")
         wsum = sum(w for w, _ in comps)
-        if any(w < 0 for w, _ in comps):
-            raise ValueError("weights must be nonnegative")
+        if not all(0 <= w < math.inf for w, _ in comps):
+            raise ValueError("weights must be finite and nonnegative")
         if abs(wsum - 1.0) > 1e-10:
             raise ValueError(f"weights must sum to 1 (got {wsum!r})")
         g0 = comps[0][1].grid

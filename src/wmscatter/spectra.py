@@ -121,10 +121,10 @@ class SampleModel:
     deficit: DeficitInjection | None = None
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("sample mass must be positive")
-        if self.e_rot < 0:
-            raise ValueError("E_rot must be nonnegative")
+        if not 0 < self.mass < math.inf:
+            raise ValueError(f"sample mass M = {self.mass!r} must be positive and finite")
+        if not 0 <= self.e_rot < math.inf:
+            raise ValueError(f"E_rot = {self.e_rot!r} must be nonnegative and finite")
         center = expectation_p(self.momentum_dist)
         if abs(center) > 1e-6:
             raise ValueError(
@@ -331,13 +331,16 @@ def recoil_peak_k1(beam: NeutronBeam, theta: float, mass_eff: float,
     return k1
 
 
+# Doppler widths that recoil_tof_window keeps on each side of a recoil peak
+TOF_WINDOW_MARGIN_SIGMAS = 8.0
+
+
 def recoil_tof_window(beam: NeutronBeam, detectors, sample: SampleModel,
-                      sigma_p: float, margin_sigmas: float = 8.0,
-                      n_bins: int = 512) -> TofBinning:
+                      sigma_p: float, n_bins: int = 512) -> TofBinning:
     """TOF binning that brackets every detector's recoil peak.
 
-    The margin is margin_sigmas Doppler widths converted to TOF through the
-    local Jacobian, so the full lineshape fits for each detector.
+    The margin is TOF_WINDOW_MARGIN_SIGMAS Doppler widths converted to TOF
+    through the local Jacobian, so the full lineshape fits for each detector.
     """
     t_lo, t_hi = math.inf, -math.inf
     k_scale = sample.deficit.k_scale if sample.deficit else 1.0
@@ -348,7 +351,7 @@ def recoil_tof_window(beam: NeutronBeam, detectors, sample: SampleModel,
         kk = k_transfer(beam.k0, k1, geom.theta) / k_scale   # atom-side K
         sigma_e = doppler_term(kk, sigma_p, sample.mass)
         t_leg = tp - geom.t0 - geom.l0 / beam.v0 / C.US_S
-        dt = margin_sigmas * sigma_e / energy_rate(k1, t_leg)
+        dt = TOF_WINDOW_MARGIN_SIGMAS * sigma_e / energy_rate(k1, t_leg)
         t_lo = min(t_lo, tp - dt)
         t_hi = max(t_hi, tp + dt)
     # every bin must stay invertible for every detector

@@ -1,8 +1,9 @@
 """Weak values of atomic momentum under pre/post-selection.
 
-Computes A_w = <post|A|pre>/<post|pre> for A = P or A = P - hbarK*I on
-momentum-space states, the resulting pointer shifts for a von Neumann-type
-impulsive coupling, the momentum-transfer deficit, and the scenario
+Computes A_w = <post|A|pre>/<post|pre> for A = P - shift*I on momentum-space
+states (shift 0 gives P_w, shift hbarK the coupling's (P - hbarK)_w), the
+resulting pointer shifts for a von Neumann-type impulsive coupling, the
+momentum-transfer deficit pi(hbarK) = -Re (P - hbarK)_w, and the scenario
 constructors for the three canonical final-state cases:
 
     A  final state a (near-)plane wave: narrow Gaussian, width ratio 1e-3;
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 from . import constants as C
 from .errors import (
-    BadCentering,
     GridMismatch,
     NonFiniteInput,
     NonPositiveInput,
@@ -36,7 +36,6 @@ from .errors import (
 from .qstate import (
     MixedState,
     WaveFunction,
-    expectation_p,
     gaussian_state,
     grid_for_gaussians,
     trapezoid_vdot,
@@ -58,7 +57,8 @@ class WeakValueResult:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Impulsive coupling lambda * q (P - hbarK) between neutron and atom.
+    """Impulsive coupling lambda * q (P - hbarK) between neutron and atom;
+    hbarK enters through the (P - hbarK)_w that pointer_momentum_shift takes.
 
     sign="plus" is the physical choice; sign="minus_mu" is the deliberately
     wrong-signed variant used to demonstrate that it produces an increased
@@ -66,49 +66,41 @@ class CouplingModel:
     """
 
     lam: float
-    hbar_k: float
     sign: str = "plus"
 
     def __post_init__(self):
         if not 0 < self.lam <= 1:
             raise ValueError("lambda must lie in (0, 1]")
-        if self.hbar_k <= 0:
-            raise ValueError("hbarK must be positive")
         if self.sign not in ("plus", "minus_mu"):
             raise ValueError("sign must be 'plus' or 'minus_mu'")
 
 
-def _post_overlaps(post: WaveFunction, grid, kets, observable, hbar_k):
-    """<post|post> and, for each ket, (<post|ket>, <A post|ket>).
+def _post_overlaps(post: WaveFunction, grid, kets, shift):
+    """<post|post> and, for each ket, (<post|ket>, <(P - shift) post|ket>).
 
     The sums run over post's support only, where it is not exactly zero; the
     trapezoid's endpoint terms count only where that window reaches a grid end.
-    A's values are built on the window's own slice of the axis.
+    P - shift is built on the window's own slice of the axis.
     """
     if post.grid != grid:
         raise GridMismatch("states live on different momentum grids")
-    if observable not in ("P", "P_minus_hbarK"):
-        raise ValueError(f"unknown observable {observable!r}")
     lo, hi = post.support()
     ends, dp = (lo == 0, hi == grid.n_points), grid.dp
     bra = post.amplitudes[lo:hi]
-    a_bra = grid.segment(lo, hi)
-    if observable == "P_minus_hbarK":
-        a_bra -= hbar_k
-    a_bra = a_bra * bra
+    a_bra = (grid.segment(lo, hi) - shift) * bra
     return (float(trapezoid_vdot(bra, bra, dp, ends).real),
             [(complex(trapezoid_vdot(bra, k.amplitudes[lo:hi], dp, ends)),
               complex(trapezoid_vdot(a_bra, k.amplitudes[lo:hi], dp, ends))) for k in kets])
 
 
-def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
-               hbar_k: float = 0.0) -> WeakValueResult:
-    """<post|A|pre>/<post|pre> for A = P or A = P - hbarK.
+def weak_value(pre: WaveFunction, post: WaveFunction, shift: float = 0.0) -> WeakValueResult:
+    """(P - shift)_w = <post|P - shift|pre>/<post|pre>: P_w at shift 0, the
+    coupling's (P - hbarK)_w at shift hbarK.
 
     Raises OrthogonalSelection when the overlap magnitude (relative to the
     product of norms) falls below EPS_OVERLAP_DEFAULT.
     """
-    post_norm, [(denom, numer)] = _post_overlaps(post, pre.grid, [pre], observable, hbar_k)
+    post_norm, [(denom, numer)] = _post_overlaps(post, pre.grid, [pre], shift)
     norms = math.sqrt(post_norm * pre.norm_sq())
     overlap_mag = abs(denom) / norms if norms > 0 else 0.0
     if overlap_mag < EPS_OVERLAP_DEFAULT:
@@ -117,43 +109,27 @@ def weak_value(pre: WaveFunction, post: WaveFunction, observable: str = "P",
     return WeakValueResult(numer / denom, overlap_mag)
 
 
-def weak_value_mixed(pre: MixedState, post: WaveFunction, observable: str = "P",
-                     hbar_k: float = 0.0) -> WeakValueResult:
-    """Weak value for a pre-selected mixture rho = sum_i w_i |psi_i><psi_i|:
+def weak_value_mixed(pre: MixedState, post: WaveFunction, shift: float = 0.0) -> WeakValueResult:
+    """Weak value of A = P - shift for a pre-selected mixture
+    rho = sum_i w_i |psi_i><psi_i|:
 
         (A)_w = sum_i w_i <post|A|psi_i><psi_i|post> / sum_i w_i |<post|psi_i>|^2.
 
     Reduces to weak_value() for a single component, and raises
-    OrthogonalSelection as it does.
+    OrthogonalSelection as it does, a zero-norm post state included.
     """
     post_norm, overlaps = _post_overlaps(
-        post, pre.grid, [psi for _, psi in pre.components], observable, hbar_k)
+        post, pre.grid, [psi for _, psi in pre.components], shift)
     numer = 0.0 + 0.0j
     denom = 0.0
     for (w, _), (ov, a_ov) in zip(pre.components, overlaps):
         numer += w * a_ov * ov.conjugate()
         denom += w * abs(ov) ** 2
-    overlap_mag = math.sqrt(max(denom, 0.0) / post_norm)
+    overlap_mag = math.sqrt(max(denom, 0.0) / post_norm) if post_norm > 0 else 0.0
     if overlap_mag < EPS_OVERLAP_DEFAULT:
         raise OrthogonalSelection(
             f"mixed overlap {overlap_mag:.3e} < eps = {EPS_OVERLAP_DEFAULT:.3e}")
     return WeakValueResult(complex(numer / denom), overlap_mag)
-
-
-def momentum_deficit(pre: WaveFunction, post: WaveFunction, hbar_k: float) -> float:
-    """Deficit pi(hbarK) = hbarK - Re(P_w) for pre centered at 0 and post at hbarK.
-
-    Computed as -Re (P - hbarK)_w, which does not cancel the digits that
-    hbarK and Re(P_w) share.  Positive for symmetric post states no wider
-    than the pre state.
-    """
-    c_pre = expectation_p(pre)
-    c_post = expectation_p(post)
-    if abs(c_pre) > 1e-6:
-        raise BadCentering(f"pre state centered at {c_pre:.3e}, expected 0")
-    if abs(c_post - hbar_k) > 1e-6:
-        raise BadCentering(f"post state centered at {c_post!r}, expected {hbar_k!r}")
-    return -weak_value(pre, post, "P_minus_hbarK", hbar_k).value.real
 
 
 def pointer_momentum_shift(model: CouplingModel, coupling_wv: WeakValueResult) -> float:
@@ -166,15 +142,14 @@ def pointer_momentum_shift(model: CouplingModel, coupling_wv: WeakValueResult) -
     return -model.lam * re if model.sign == "plus" else +model.lam * re
 
 
-def total_momentum_transfer(model: CouplingModel, deficit: float) -> float:
-    """Total pointer momentum transfer: conventional -hbarK plus the correction.
-
-    sign="plus" gives -hbarK + lambda*deficit (magnitude <= hbarK for
-    deficit in [0, hbarK]); sign="minus_mu" gives -hbarK - lambda*deficit.
-    """
-    if model.sign == "plus":
-        return -model.hbar_k + model.lam * deficit
-    return -model.hbar_k - model.lam * deficit
+def _width_ratio(kind: str, width_ratio: float) -> float:
+    """sigma_f/sigma_i of case A, B or C; case B's is width_ratio."""
+    if kind == "B" and not 0 < width_ratio <= 1:
+        raise NonPositiveInput("width_ratio must lie in (0, 1] for case B")
+    ratios = {"A": PLANE_WAVE_RATIO, "B": width_ratio, "C": 1.0}
+    if kind not in ratios:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    return ratios[kind]
 
 
 def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5):
@@ -191,17 +166,7 @@ def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5)
         raise NonPositiveInput("sigma_i must be positive")
     if hbar_k <= 0:
         raise NonPositiveInput("hbarK must be positive")
-    kind = kind.upper()
-    if kind == "A":
-        sigma_f = PLANE_WAVE_RATIO * sigma_i
-    elif kind == "B":
-        if not 0 < width_ratio <= 1:
-            raise NonPositiveInput("width_ratio must lie in (0, 1] for case B")
-        sigma_f = width_ratio * sigma_i
-    elif kind == "C":
-        sigma_f = sigma_i
-    else:
-        raise ValueError(f"unknown scenario kind {kind!r}")
+    sigma_f = _width_ratio(kind.upper(), width_ratio) * sigma_i
     grid = grid_for_gaussians([0.0, hbar_k], [sigma_i, sigma_f])
     pre = gaussian_state(grid, 0.0, sigma_i)
     post = gaussian_state(grid, hbar_k, sigma_f)
@@ -211,45 +176,46 @@ def scenario(kind: str, sigma_i: float, hbar_k: float, width_ratio: float = 0.5)
 def scenario_record(kind: str, sigma_i: float, hbar_k: float,
                     width_ratio: float = 0.5, lam: float = 0.01,
                     sign: str = "plus") -> dict:
-    """One JSON-ready record of a full scenario evaluation."""
+    """One JSON-ready record of a full scenario evaluation.
+
+    The total pointer momentum transfer is the conventional -hbarK plus the
+    pointer shift: -hbarK + lambda*deficit for sign "plus" (magnitude <= hbarK
+    for a deficit in [0, hbarK]), -hbarK - lambda*deficit for "minus_mu".
+    """
+    kind = kind.upper()
     pre, post = scenario(kind, sigma_i, hbar_k, width_ratio)
     # the deficit straight from (P - hbarK)_w: hbarK - Re(P_w) would cancel
     # about six digits in case A, where Re(P_w) agrees with hbarK to 1e-6
-    coupling = weak_value(pre, post, "P_minus_hbarK", hbar_k)
+    coupling = weak_value(pre, post, hbar_k)
     p_w = coupling.value + hbar_k
-    deficit = -coupling.value.real
-    model = CouplingModel(lam, hbar_k, sign)
-    total = total_momentum_transfer(model, deficit)
+    shift = pointer_momentum_shift(CouplingModel(lam, sign), coupling)
+    total = -hbar_k + shift
     return {
-        "case": kind.upper(),
+        "case": kind,
         "sigma_i": sigma_i,
         "hbarK": hbar_k,
-        "width_ratio": width_ratio if kind.upper() == "B" else
-                       (PLANE_WAVE_RATIO if kind.upper() == "A" else 1.0),
+        "width_ratio": _width_ratio(kind, width_ratio),
         "lambda": lam,
         "sign": sign,
         "P_w_re": p_w.real,
         "P_w_im": p_w.imag,
-        "deficit": deficit,
-        "pointer_shift": pointer_momentum_shift(model, coupling),
+        "deficit": -coupling.value.real,
+        "pointer_shift": shift,
         "total_transfer": total,
         "deficit_fraction": (abs(total) - hbar_k) / hbar_k,
     }
 
 
 def deficit_sweep(sigma_i: float, width_ratio: float, hbar_k_values) -> list:
-    """Deficit versus hbarK at fixed width ratio, as plain data records.
+    """Deficit versus hbarK at fixed width ratio (case B, or C at ratio >= 1),
+    as plain data records: each row's deficit is scenario_record's.
 
     No functional model of the K-dependence is committed; this exposes the
     sweep for inspection/plotting.
     """
-    out = []
-    for hk in hbar_k_values:
-        pre, post = scenario("B" if width_ratio < 1 else "C",
-                             sigma_i, float(hk), width_ratio)
-        out.append({"hbarK": float(hk),
-                    "deficit": momentum_deficit(pre, post, float(hk))})
-    return out
+    kind = "B" if width_ratio < 1 else "C"
+    return [{"hbarK": hk, "deficit": scenario_record(kind, sigma_i, hk, width_ratio)["deficit"]}
+            for hk in map(float, hbar_k_values)]
 
 
 def weakness_estimate(b_fm: float, wavelength_angstrom: float) -> float:

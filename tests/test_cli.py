@@ -302,6 +302,34 @@ def test_weakvalue_grid_over_the_node_cap_exits_2(capsys):
     assert "MAX_POINTS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand, field, value", [
+    ("simulate", "E0", math.nan), ("audit", "L1", math.inf), ("audit", "t0", math.nan),
+    ("simulate", "E_rot", math.inf), ("simulate", "M", math.nan)])
+def test_non_finite_instrument_or_sample_value_exits_2(tmp_path, capsys, subcommand, field, value):
+    """json.load takes NaN and Infinity; before the boundary checks these ran
+    on to exit 4, a LAPACK failure, a silently dropped detector (exit 1) and
+    all-zero spectra (exit 0)."""
+    tmp, inst, sample = write_h2_inputs(tmp_path, angles=(8, 13, 18, 23))
+    path = tmp / ("instrument.json" if field in ("E0", "L1", "t0") else "sample.json")
+    doc = json.loads(path.read_text())
+    if field == "E0":
+        doc["beam"]["E0"] = value
+    elif field in ("L1", "t0"):
+        doc["detectors"][1][field] = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    cen = tmp / "centroids.csv"
+    analysis.write_centroids_csv(
+        [(d, analysis.KEPoint(2.0 + d, 20.0 + 5.0 * d, 0.1)) for d in range(4)], cen)
+    argv = {"simulate": ["--sample", sample, "--out", tmp / "sim"],
+            "audit": ["--centroids", cen, "--assumed-m", 2.01]}[subcommand]
+    assert cli.main([str(a) for a in [subcommand, "--instrument", inst, *argv]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp / "sim").exists()
+    assert captured.err.startswith("error: ") and f"{field} = {value!r} must be" in captured.err
+
+
 def test_cli_import_leaves_out_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -165,6 +165,17 @@ def test_unit_constants_cross_check():
     assert abs(beam.v0 - v_from_lambda) / beam.v0 < 1e-3
 
 
+def test_beam_and_geometry_reject_non_finite_values():
+    # NaN passes a "<= 0" test; each message names the field and its value
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"E0 = {bad!r}"):
+            NeutronBeam(bad)
+        for field, name in (("l0", "L0"), ("l1", "L1"), ("t0", "t0")):
+            args = {"l0": 10.0, "l1": 4.0, "theta": 1.0, "t0": 0.0, field: bad}
+            with pytest.raises(ValueError, match=f"{name} = {bad!r}"):
+                DetectorGeometry(**args)
+
+
 def test_kepoint_invariant():
     with pytest.raises(ValueError):
         KEPoint(-1.0, 5.0)

@@ -294,6 +294,10 @@ def test_mixed_state_weight_validation():
     a = gaussian_state(GRID, 0.0, 1.0)
     with pytest.raises(ValueError):
         MixedState(((0.6, a), (0.6, a)))
+    # NaN passes both w < 0 and |sum w - 1| > tol as False
+    for weights in ((math.nan, 1.0), (math.inf, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            MixedState(tuple((w, a) for w in weights))
 
 
 def test_expectation_follows_the_center_random_gaussians():

@@ -92,7 +92,7 @@ def test_density_mixture_weighted_sum():
 # --- impulse-approximation structure factor --------------------------------------
 
 def test_s_ia_sum_rule_and_center():
-    grid = grid_for_gaussians([0.0], [0.8], points_per_sigma=32)
+    grid = grid_for_gaussians([0.0], [0.8])
     dens = momentum_density(gaussian_state(grid, 0.0, 0.8))
     for k in (1.5, 3.0, 6.0):
         for mass in (1.0079, 2.01, 4.0026):
@@ -111,7 +111,7 @@ def test_s_ia_sum_rule_and_center():
 def test_s_ia_width_matches_doppler():
     sigma_p = 0.6
     k, mass = 4.0, 2.01
-    grid = grid_for_gaussians([0.0], [sigma_p], points_per_sigma=32)
+    grid = grid_for_gaussians([0.0], [sigma_p])
     dens = momentum_density(gaussian_state(grid, 0.0, sigma_p))
     e_rec = C.ATOM_E_COEF * k**2 / mass
     width_pred = 2.0 * C.ATOM_E_COEF * k * sigma_p / mass

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from wmscatter.errors import (
-    BadCentering,
     GridMismatch,
     NonFiniteInput,
+    NonPositiveInput,
     NonPositiveLength,
     OrthogonalSelection,
 )
@@ -30,11 +30,9 @@ from wmscatter.weakval import (
     CouplingModel,
     WeakValueResult,
     deficit_sweep,
-    momentum_deficit,
     pointer_momentum_shift,
     scenario,
     scenario_record,
-    total_momentum_transfer,
     weak_value,
     weak_value_mixed,
     weakness_estimate,
@@ -74,14 +72,14 @@ GRID = grid_for_gaussians([0.0, 4.0], [1.0, 0.5])
 
 def test_weak_value_equals_expectation_when_post_is_pre():
     g = gaussian_state(GRID, 0.0, 1.0)
-    wv = weak_value(g, g, "P")
+    wv = weak_value(g, g)
     assert abs(wv.value - expectation_p(g)) < 1e-12
 
 
 def test_equal_width_weak_value_is_half_transfer():
     pre = gaussian_state(GRID, 0.0, 1.0)
     post = gaussian_state(GRID, 4.0, 1.0)
-    wv = weak_value(pre, post, "P")
+    wv = weak_value(pre, post)
     assert wv.value.real == pytest.approx(2.0, abs=1e-12)
     assert wv.value.imag == pytest.approx(0.0, abs=1e-12)
 
@@ -89,7 +87,7 @@ def test_equal_width_weak_value_is_half_transfer():
 def test_narrow_post_weak_value_closed_form():
     pre = gaussian_state(GRID, 0.0, 1.0)
     post = gaussian_state(GRID, 4.0, 0.5)
-    wv = weak_value(pre, post, "P")
+    wv = weak_value(pre, post)
     assert wv.value.real == pytest.approx(3.2, rel=1e-10)
     assert wv.value.real == pytest.approx(
         brute_force_pw(1.0, 0.5, 4.0).real, rel=1e-8)
@@ -98,8 +96,8 @@ def test_narrow_post_weak_value_closed_form():
 def test_coupling_observable_identity():
     pre = gaussian_state(GRID, 0.0, 1.0)
     post = gaussian_state(GRID, 4.0, 0.5)
-    pw = weak_value(pre, post, "P").value
-    cw = weak_value(pre, post, "P_minus_hbarK", hbar_k=4.0).value
+    pw = weak_value(pre, post).value
+    cw = weak_value(pre, post, 4.0).value
     assert abs(cw - (pw - 4.0)) < 1e-10
 
 
@@ -108,18 +106,24 @@ def test_weak_value_orthogonal_raises():
     pre = gaussian_state(grid, 0.0, 1.0)
     post = gaussian_state(grid, 40.0, 1.0)
     with pytest.raises(OrthogonalSelection):
-        weak_value(pre, post, "P")
+        weak_value(pre, post)
     with pytest.raises(OrthogonalSelection):
-        weak_value_mixed(MixedState(((1.0, pre),)), post, "P")
+        weak_value_mixed(MixedState(((1.0, pre),)), post)
+    # a zero-norm post state, for which the mixed overlap divides by zero
+    zero = WaveFunction(grid, np.zeros(grid.n_points))
+    with pytest.raises(OrthogonalSelection):
+        weak_value(pre, zero)
+    with pytest.raises(OrthogonalSelection):
+        weak_value_mixed(MixedState(((1.0, pre),)), zero)
 
 
 def test_states_on_different_grids_raise():
     pre = gaussian_state(GRID, 0.0, 1.0)
     post = gaussian_state(MomentumGrid(GRID.p_min, GRID.p_max, GRID.n_points // 2), 4.0, 1.0)
     with pytest.raises(GridMismatch):
-        weak_value(pre, post, "P")
+        weak_value(pre, post)
     with pytest.raises(GridMismatch):
-        weak_value_mixed(MixedState(((1.0, pre),)), post, "P")
+        weak_value_mixed(MixedState(((1.0, pre),)), post)
     with pytest.raises(GridMismatch):
         MixedState(((0.5, pre), (0.5, post)))
 
@@ -127,8 +131,8 @@ def test_states_on_different_grids_raise():
 def test_global_phase_on_post_cancels():
     pre = gaussian_state(GRID, 0.0, 1.0)
     post = gaussian_state(GRID, 4.0, 0.5)
-    wv0 = weak_value(pre, post, "P").value
-    wv1 = weak_value(pre, with_global_phase(post, 1.9), "P").value
+    wv0 = weak_value(pre, post).value
+    wv1 = weak_value(pre, with_global_phase(post, 1.9)).value
     assert abs(wv0 - wv1) < 1e-12
 
 
@@ -136,8 +140,8 @@ def test_weak_value_mixed_reduces_to_pure():
     pre = gaussian_state(GRID, 0.0, 1.0)
     post = gaussian_state(GRID, 4.0, 1.0)
     single = MixedState(((1.0, pre),))
-    a = weak_value_mixed(single, post, "P").value
-    b = weak_value(pre, post, "P").value
+    a = weak_value_mixed(single, post).value
+    b = weak_value(pre, post).value
     assert abs(a - b) < 1e-12
 
 
@@ -146,7 +150,7 @@ def test_weak_value_mixed_symmetric_mixture():
     mix = MixedState(((0.5, gaussian_state(grid, +1.5, 1.0)),
                       (0.5, gaussian_state(grid, -1.5, 1.0))))
     post = gaussian_state(grid, 0.0, 0.8)
-    wv = weak_value_mixed(mix, post, "P")
+    wv = weak_value_mixed(mix, post)
     assert wv.value.real == pytest.approx(0.0, abs=1e-10)
 
 
@@ -155,7 +159,7 @@ def test_weak_value_mixed_against_brute_force():
     mix = MixedState(((0.7, gaussian_state(grid, 0.0, 1.0)),
                       (0.3, gaussian_state(grid, 0.0, 2.0))))
     post = gaussian_state(grid, 4.0, 1.0)
-    got = weak_value_mixed(mix, post, "P").value
+    got = weak_value_mixed(mix, post).value
     # independent evaluation of the density-operator weak value
     p = np.linspace(-30.0, 34.0, 640001)
     dp = p[1] - p[0]
@@ -175,23 +179,13 @@ def test_weak_value_mixed_against_brute_force():
 
 def test_momentum_deficit_cases():
     # plane-wave limit: vanishing deficit
-    pre, post = scenario("A", 1.0, 4.0)
-    assert momentum_deficit(pre, post, 4.0) < 1e-5 * 4.0
+    assert scenario_record("A", 1.0, 4.0)["deficit"] < 1e-5 * 4.0
     # equal widths: half the transfer
-    pre, post = scenario("C", 1.0, 4.0)
-    assert momentum_deficit(pre, post, 4.0) == pytest.approx(2.0, abs=1e-10)
+    [row] = deficit_sweep(1.0, 1.0, [4.0])
+    assert row["deficit"] == pytest.approx(2.0, abs=1e-10)
     # derived Gaussian value: hbarK * s_f^2 / (s_i^2 + s_f^2)
-    pre, post = scenario("B", 1.0, 4.0, width_ratio=0.5)
-    assert momentum_deficit(pre, post, 4.0) == pytest.approx(0.8, rel=1e-9)
-
-
-def test_momentum_deficit_centering_check():
-    pre = gaussian_state(GRID, 0.5, 1.0)
-    post = gaussian_state(GRID, 4.0, 1.0)
-    with pytest.raises(BadCentering):
-        momentum_deficit(pre, post, 4.0)
-    with pytest.raises(BadCentering):
-        momentum_deficit(gaussian_state(GRID, 0.0, 1.0), post, 3.0)
+    [row] = deficit_sweep(1.0, 0.5, [4.0])
+    assert row["deficit"] == pytest.approx(0.8, rel=1e-9)
 
 
 def test_case_b_positivity_random():
@@ -200,14 +194,13 @@ def test_case_b_positivity_random():
         sigma_i = rng.uniform(0.4, 2.0)
         ratio = rng.uniform(0.05, 1.0)
         hbar_k = rng.uniform(0.2, 3.0) * sigma_i
-        pre, post = scenario("B", sigma_i, hbar_k, width_ratio=ratio)
-        assert momentum_deficit(pre, post, hbar_k) > 0.0
+        assert scenario_record("B", sigma_i, hbar_k, width_ratio=ratio)["deficit"] > 0.0
 
 
 def test_case_c_width_invariance():
     for sigma in (0.5, 1.0, 2.0):
         pre, post = scenario("C", sigma, 4.0)
-        wv = weak_value(pre, post, "P")
+        wv = weak_value(pre, post)
         assert wv.value.real == pytest.approx(2.0, abs=1e-10)
 
 
@@ -215,7 +208,7 @@ def test_gaussian_oracle_sweep_small():
     for ratio in (1e-3, 1e-2, 0.1, 0.5, 1.0):
         for hbar_k in (0.4, 1.7, 3.0):
             pre, post = scenario("B" if ratio < 1 else "C", 1.0, hbar_k, ratio)
-            wv = weak_value(pre, post, "P")
+            wv = weak_value(pre, post)
             assert wv.value.real == pytest.approx(
                 closed_form_pw(1.0, ratio, hbar_k), rel=1e-8)
 
@@ -223,12 +216,12 @@ def test_gaussian_oracle_sweep_small():
 def test_pointer_momentum_shift_signs():
     # case C at hbarK=4: coupling weak value -2
     cw = WeakValueResult(complex(-2.0, 0.0), 0.2)
-    assert pointer_momentum_shift(CouplingModel(0.01, 4.0, "plus"), cw) == \
+    assert pointer_momentum_shift(CouplingModel(0.01, "plus"), cw) == \
         pytest.approx(+0.02)
-    assert pointer_momentum_shift(CouplingModel(0.01, 4.0, "minus_mu"), cw) == \
+    assert pointer_momentum_shift(CouplingModel(0.01, "minus_mu"), cw) == \
         pytest.approx(-0.02)
     zero = WeakValueResult(0j, 0.9)
-    assert pointer_momentum_shift(CouplingModel(0.5, 4.0), zero) == 0.0
+    assert pointer_momentum_shift(CouplingModel(0.5), zero) == 0.0
 
 
 def test_phase_ramp_weak_value_oracle():
@@ -239,42 +232,61 @@ def test_phase_ramp_weak_value_oracle():
     pre = gaussian_state(grid, 0.0, 1.0)
     base = gaussian_state(grid, 4.0, 0.5)
     post = WaveFunction(grid, base.amplitudes * np.exp(1j * slope * grid.points))
-    wv = weak_value(pre, post, "P")
+    wv = weak_value(pre, post)
     oracle = brute_force_pw(1.0, 0.5, 4.0, phase_slope=slope)
     assert wv.value.imag == pytest.approx(oracle.imag, rel=1e-8)
 
 
 def test_total_momentum_transfer():
-    m = CouplingModel(1.0, 4.0, "plus")
-    assert total_momentum_transfer(m, 2.0) == pytest.approx(-2.0)
-    assert total_momentum_transfer(m, 0.0) == pytest.approx(-4.0)
-    m2 = CouplingModel(0.1, 4.0, "plus")
-    assert total_momentum_transfer(m2, 0.8) == pytest.approx(-3.92)
+    # -hbarK plus lambda times the deficit: 2.0 (C), ~4e-6 (A), 0.8 (B at 0.5)
+    assert scenario_record("C", 1.0, 4.0, lam=1.0)["total_transfer"] == pytest.approx(-2.0)
+    assert scenario_record("A", 1.0, 4.0, lam=0.01)["total_transfer"] == pytest.approx(-4.0)
+    rec = scenario_record("B", 1.0, 4.0, width_ratio=0.5, lam=0.1)
+    assert rec["total_transfer"] == pytest.approx(-3.92)
 
 
 def test_total_transfer_bound_plus_sign():
+    # case B deficits lie in (0, hbarK/2]
     rng = np.random.default_rng(99)
     for _ in range(200):
         hbar_k = rng.uniform(0.5, 6.0)
         lam = rng.uniform(1e-3, 1.0)
-        deficit = rng.uniform(0.0, hbar_k / 2.0)
-        m = CouplingModel(lam, hbar_k, "plus")
-        assert abs(total_momentum_transfer(m, deficit)) <= hbar_k + 1e-12
+        ratio = rng.uniform(0.05, 1.0)
+        rec = scenario_record("B", 1.0, hbar_k, width_ratio=ratio, lam=lam)
+        assert abs(rec["total_transfer"]) <= hbar_k + 1e-12
+
+
+def test_total_transfer_is_minus_hbar_k_plus_pointer_shift():
+    rng = np.random.default_rng(7)
+    for case in "ABC":
+        for hbar_k in rng.uniform(0.3, 5.0, 4):
+            for sign in ("plus", "minus_mu"):
+                rec = scenario_record(case, 1.0, hbar_k, lam=0.3, sign=sign)
+                assert rec["total_transfer"] == -hbar_k + rec["pointer_shift"]
+                assert rec["pointer_shift"] == (0.3 if sign == "plus" else -0.3) * rec["deficit"]
+
+
+def test_sweep_deficit_is_the_records_bit_for_bit():
+    hks = np.random.default_rng(5).uniform(0.3, 5.0, 12)
+    for ratio, case in ((0.05, "B"), (0.5, "B"), (1.0, "C"), (1.7, "C")):
+        rows = deficit_sweep(1.3, ratio, hks)
+        assert [r["hbarK"] for r in rows] == hks.tolist()
+        for row, hk in zip(rows, hks):
+            assert row["deficit"] == scenario_record(case, 1.3, hk, ratio)["deficit"]
 
 
 def test_sign_flip_consistency():
     pre, post = scenario("C", 1.0, 4.0)
-    pw_a = weak_value(pre, post, "P").value
-    pw_b = weak_value(pre, post, "P").value
+    pw_a = weak_value(pre, post).value
+    pw_b = weak_value(pre, post).value
     assert pw_a == pw_b   # bit-identical on identical inputs
-    deficit = 4.0 - pw_a.real
-    plus = CouplingModel(0.3, 4.0, "plus")
-    minus = CouplingModel(0.3, 4.0, "minus_mu")
-    assert abs(total_momentum_transfer(plus, deficit)) <= 4.0
-    assert abs(total_momentum_transfer(minus, deficit)) >= 4.0
+    plus = scenario_record("C", 1.0, 4.0, lam=0.3, sign="plus")
+    minus = scenario_record("C", 1.0, 4.0, lam=0.3, sign="minus_mu")
+    assert plus["deficit"] == minus["deficit"] == pytest.approx(4.0 - pw_a.real, abs=1e-12)
+    assert abs(plus["total_transfer"]) <= 4.0
+    assert abs(minus["total_transfer"]) >= 4.0
     # the pointer corrections have opposite signs
-    cw = weak_value(pre, post, "P_minus_hbarK", hbar_k=4.0)
-    assert pointer_momentum_shift(plus, cw) > 0 > pointer_momentum_shift(minus, cw)
+    assert plus["pointer_shift"] > 0 > minus["pointer_shift"]
 
 
 def test_scenario_records_and_sweep():
@@ -297,11 +309,12 @@ def test_weakness_estimate():
 
 def test_coupling_model_validation():
     with pytest.raises(ValueError):
-        CouplingModel(0.0, 4.0)
+        CouplingModel(0.0)
     with pytest.raises(ValueError):
-        CouplingModel(0.5, -1.0)
-    with pytest.raises(ValueError):
-        CouplingModel(0.5, 4.0, "times")
+        CouplingModel(0.5, "times")
+    # hbarK is the scenario's, which must be positive
+    with pytest.raises(NonPositiveInput):
+        scenario_record("C", 1.0, -1.0)
 
 
 def tabulated_pre(grid):
@@ -350,16 +363,16 @@ def test_weak_values_match_elementwise_trapezoid():
              (pre_real, post_real), (pre_real, post_phased)]
     for pre, post in pairs:
         p, dp = pre.grid.points, pre.grid.dp
-        for observable, hbar_k in (("P", 0.0), ("P_minus_hbarK", 4.0)):
+        for shift in (0.0, 4.0):
             bra = np.conj(post.amplitudes)
-            ref = elementwise_trapezoid(bra * (p - hbar_k) * pre.amplitudes, dp) \
+            ref = elementwise_trapezoid(bra * (p - shift) * pre.amplitudes, dp) \
                 / elementwise_trapezoid(bra * pre.amplitudes, dp)
-            got = weak_value(pre, post, observable, hbar_k=hbar_k).value
+            got = weak_value(pre, post, shift).value
             assert abs(got - ref) <= 1e-13 * abs(ref)
     for mix, post in ((MixedState(((0.3, pairs[0][0]), (0.7, pre_tab))), post_tab),
                       (MixedState(((0.4, pre_a), (0.6, pre_a_tab))), post_a)):
         ref = elementwise_mixed_pw(mix, post)
-        got = weak_value_mixed(mix, post, "P").value
+        got = weak_value_mixed(mix, post).value
         assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
