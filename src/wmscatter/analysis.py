@@ -43,6 +43,7 @@ from .spectra import (
     Spectrum,
     _trajectory_arrays,
     instrument_from_dict,
+    table_axis,
 )
 from .tablefile import read_table, write_table
 
@@ -533,7 +534,8 @@ def ingest_spectrum(path) -> Spectrum:
     negative counts raise ParseError with their 1-based line number, and
     fewer than 2 data rows one at the file's last line.
     """
-    meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault)
+    meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault,
+                                     axis=table_axis)
     if len(data) < 2:   # the bin edges need two TOF rows
         raise ParseError(n_lines, "need at least 2 data rows")
     c = np.ascontiguousarray(data[:, 1])

@@ -25,8 +25,9 @@ lists in left_out) any detector without one, unless none has one.
 Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter, a
 non-finite or non-positive weakvalue input and one that needs a grid of more
 than qstate.MAX_POINTS nodes among them), a config parse failure, a NaN or
-infinite instrument or sample value (E0, L0, L1, t0, M, E_rot; json.load
-takes NaN and Infinity) or a centroid of a detector the instrument lacks;
+infinite instrument or sample value (E0, L0, L1, t0, the TOF bins' t_min
+and t_max, M, E_rot; json.load takes NaN and Infinity) or a centroid of a
+detector the instrument lacks;
 3 orthogonal post-selection;
 4 unphysical TOF range; 1 other library errors (for reduce, any input that
 failed; centroids.csv lists them and the rest).
@@ -226,7 +227,7 @@ def _write_ke_csv(red, meta, path):
 def _read_ke_csv(path):
     """(K, E, intensity) rows of a K-E file; bins before the incident flight
     time hold nan K and E."""
-    _, data, _ = tablefile.read_table(path, KE_COLUMNS)
+    _, data, _ = tablefile.read_table(path, KE_COLUMNS, axis=spectra.table_axis)
     return data[:, 1:]
 
 

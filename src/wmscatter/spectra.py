@@ -57,6 +57,9 @@ class TofBinning:
     n_bins: int
 
     def __post_init__(self):
+        for name, value in (("t_min", self.t_min), ("t_max", self.t_max)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value!r} must be finite")
         if not self.t_min < self.t_max:
             raise ValueError("require t_min < t_max")
         if self.n_bins < 16:
@@ -451,6 +454,20 @@ def load_sample_json(path) -> SampleModel:
 # --- spectrum files: tablefile tables with columns tof_us,counts ---------------
 
 SPECTRUM_COLUMNS = ("tof_us", "counts")
+
+
+def table_axis(meta: dict, n_rows: int):
+    """The TOF axis the package's writers put in the first column of a
+    spectrum or K-E table: the bin centres of meta's tof_bins when they
+    number n_rows, else None (also for absent or malformed tof_bins).
+    tablefile.read_table takes these values only where the file's text is
+    theirs."""
+    tb = meta.get("tof_bins")
+    try:
+        bins = TofBinning(float(tb["t_min"]), float(tb["t_max"]), int(tb["n_bins"]))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return bins.centers if bins.n_bins == n_rows else None
 
 
 def write_spectrum_csv(spec: Spectrum, path):

@@ -1,5 +1,10 @@
 """Minimal hand-emitted SVG figures: the measured (K, E) ribbon with the
-conventional and fitted recoil parabolas overlaid.  No plotting dependency."""
+conventional and fitted recoil parabolas overlaid.  No plotting dependency.
+
+The ribbon draws one mark per occupied pixel, not one per point: a bank of
+detectors puts tens of thousands of points into a few thousand pixels, and
+the pixel's one circle carries the opacity its points' circles would
+composite to."""
 
 from __future__ import annotations
 
@@ -50,11 +55,14 @@ def _ticks(lo, hi, n=6):
 
 
 def _ribbon(points):
-    """Axes fitted to the finite (K, E, intensity) rows and their circles.
+    """Axes fitted to the finite (K, E, intensity) rows, and one circle per
+    pixel that a shown point falls in.
 
-    The opacity and the mapping to the page take the same arithmetic, in the
-    same order, as one point at a time would, so the text is the same.  The
-    arrays die on return, before the caller joins the document.
+    A point is shown, with opacity a = intensity / max, where a > 0.  Its own
+    circles would stack in a pixel to the opacity 1 - prod(1 - a_i), so the
+    pixel's one circle, at its centre, takes that, the product running in
+    the points' order.  Circles go in pixel order, row by row.  The arrays
+    die on return, before the caller joins the document.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     finite = np.isfinite(pts).all(axis=1)
@@ -69,10 +77,16 @@ def _ribbon(points):
     ax = _Axes((ks.min() - kpad, ks.max() + kpad), (es.min() - epad, es.max() + epad))
     a = inten / imax
     np.minimum(a, 1.0, out=a)
-    np.maximum(a, 0.0, out=a)
     shown = a > 0
-    return ax, list(map(RIBBON_CIRCLE.format, ax.x(ks[shown]).tolist(),
-                        ax.y(es[shown]).tolist(), a[shown].tolist()))
+    pixel = (np.floor(ax.y(es[shown])).astype(np.intp) * WIDTH
+             + np.floor(ax.x(ks[shown])).astype(np.intp))
+    order = np.argsort(pixel, kind="stable")
+    pixel = pixel[order]
+    starts = np.flatnonzero(np.diff(pixel, prepend=-1))
+    opacity = 1.0 - np.multiply.reduceat(1.0 - a[shown][order], starts)
+    row, col = np.divmod(pixel[starts], WIDTH)
+    return ax, list(map(RIBBON_CIRCLE.format, (col + 0.5).tolist(),
+                        (row + 0.5).tolist(), opacity.tolist()))
 
 
 def ribbon_svg(points, m_conventional=None, m_fitted=None, e_rot_fitted=0.0,

@@ -27,6 +27,15 @@ body are the rows parsed one at a time, with float(), to find the first bad
 row.  That pass also accepts what float() accepts and the C parser does not
 (a whitespace-only line, which counts as blank, or '1_0'), so the two passes
 agree on which files are valid.
+
+A reader that knows the axis the writer used (spectra.table_axis, from the
+file's metadata) skips parsing it, the bulk of the parse: when every body
+line starts with that axis's memoised text and a comma, the body holds
+n_cols - 1 commas a line and no other lines, only the other columns are
+parsed, and the first column is the axis itself.  This is exact: repr text
+reads back as the same double, so the array is the one a full parse gives,
+and so are the errors, since the rows hold the same text.  On any mismatch
+the file takes the two passes above.
 """
 
 from __future__ import annotations
@@ -62,7 +71,7 @@ def _axis_text(raw: bytes) -> tuple:
     return tuple(map(repr, np.frombuffer(raw).tolist()))
 
 
-def read_table(path, names, check=None):
+def read_table(path, names, check=None, axis=None):
     """Read a table file whose column header is names.
 
     Returns (meta, data, n_lines): the metadata dict, the rows as a
@@ -72,9 +81,12 @@ def read_table(path, names, check=None):
     Blank lines are skipped.  check(data, row_text) may reject a row by
     returning (row index, message); row_text(i) is the text of row i.  Every
     rejection is a ParseError at the 1-based line of the first bad row.
+    axis(meta, n_rows) may give the first column as its writer had it, or
+    None; the file's text decides whether it is used.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty file")
     if not lines[0].lstrip().startswith("#"):
@@ -90,7 +102,13 @@ def read_table(path, names, check=None):
         raise ParseError(2, f"expected header '{header}'")
     body = lines[2:]
     first = 3   # line number of body[0]
-    data = _parse_columns(body, len(names))
+    values = None if axis is None else axis(meta, len(body))
+    data = None
+    if values is not None:
+        commas = text.count(",") - lines[0].count(",") - lines[1].count(",")
+        data = _parse_known_axis(body, values, len(names), commas)
+    if data is None:
+        data = _parse_columns(body, len(names))
     fault = None
     if data is None:
         data, fault = _parse_rows(_data_rows(body, first), len(names))
@@ -101,6 +119,32 @@ def read_table(path, names, check=None):
     if fault is not None:
         raise ParseError(*fault)
     return meta, data, len(lines)
+
+
+def _parse_known_axis(body, values, n_cols, commas):
+    """All rows, the first column being values, or None unless each line is
+    the text write_table gives values[i], a comma and the other fields.
+
+    commas counts the body's commas.  With n_cols - 1 a line in all, a line
+    with more would leave another with fewer, which loadtxt rejects for
+    lacking column n_cols - 1, so every line has n_cols fields.
+    """
+    if len(values) != len(body) or commas != len(body) * (n_cols - 1):
+        return None
+    raw = np.ascontiguousarray(values, dtype=float).tobytes()
+    if not all(map(str.startswith, body, _axis_prefixes(raw))):
+        return None
+    try:
+        rest = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                          usecols=range(1, n_cols))
+    except ValueError:
+        return None
+    return np.column_stack([values, rest])
+
+
+@functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
+def _axis_prefixes(raw: bytes) -> tuple:
+    return tuple(t + "," for t in _axis_text(raw))
 
 
 def _parse_columns(body, n_cols):

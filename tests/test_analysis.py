@@ -1,6 +1,7 @@
 """Inverse-problem tests: centroids, mass fits, deficit reports, the
 calibration-masking audit, and file ingestion."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import wmscatter.analysis as an
+from wmscatter import cli, tablefile
 from wmscatter import constants as C
 from wmscatter.errors import (
     CollinearDegeneracy,
@@ -21,6 +23,7 @@ from wmscatter.errors import (
 from wmscatter.kinematics import DetectorGeometry, KEPoint, NeutronBeam
 from wmscatter.qstate import gaussian_state, grid_for_gaussians
 from wmscatter.spectra import (
+    SPECTRUM_COLUMNS,
     DeficitInjection,
     InstrumentConfig,
     SampleModel,
@@ -29,6 +32,8 @@ from wmscatter.spectra import (
     poisson_sample,
     recoil_tof_window,
     simulate_spectrum,
+    table_axis,
+    write_spectrum_csv,
 )
 
 BEAM = NeutronBeam(90.0)
@@ -424,7 +429,7 @@ def test_ingest_rejects_non_finite_values(tmp_path, row):
     assert err.value.line == 4
 
 
-@pytest.mark.parametrize("body, line, message", [
+INGEST_FAULTS = [
     ("100.0,5\n\n101.0,-2\n", 5, "negative counts -2.0"),
     ("100.0,5\n   \n101.0,nan\n", 5, "non-finite value in row '101.0,nan'"),
     ("100.0,5\n#101.0,5\n102.0,5\n", 4, "non-numeric row '#101.0,5'"),
@@ -434,9 +439,13 @@ def test_ingest_rejects_non_finite_values(tmp_path, row):
     ("", 2, "need at least 2 data rows"),
     ("100.0,5\n", 3, "need at least 2 data rows"),
     ("100.0,5\n\n\n", 5, "need at least 2 data rows"),
-], ids=["blank-line", "whitespace-line", "hash-row", "first-fault-wins",
-        "malformed-first", "fields-after-blank", "no-rows", "one-row",
-        "one-row-blank-tail"])
+]
+INGEST_FAULT_IDS = ["blank-line", "whitespace-line", "hash-row", "first-fault-wins",
+                    "malformed-first", "fields-after-blank", "no-rows", "one-row",
+                    "one-row-blank-tail"]
+
+
+@pytest.mark.parametrize("body, line, message", INGEST_FAULTS, ids=INGEST_FAULT_IDS)
 def test_ingest_reports_line_of_first_bad_row(tmp_path, body, line, message):
     p = tmp_path / "bad.csv"
     p.write_text('# {"schema": 1, "detector_index": 0}\ntof_us,counts\n' + body)
@@ -444,6 +453,97 @@ def test_ingest_reports_line_of_first_bad_row(tmp_path, body, line, message):
         an.ingest_spectrum(p)
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {message}"
+
+
+@pytest.fixture
+def axis_reads(monkeypatch):
+    """Whether each read_table call that tried the axis fast path took it."""
+    taken = []
+    parse = tablefile._parse_known_axis
+
+    def spy(*args):
+        data = parse(*args)
+        taken.append(data is not None)
+        return data
+    monkeypatch.setattr(tablefile, "_parse_known_axis", spy)
+    return taken
+
+
+def ingest_outcome(path):
+    """ingest_spectrum's ParseError as (line, message), or the counts' bytes."""
+    try:
+        return an.ingest_spectrum(path).counts.tobytes()
+    except ParseError as err:
+        return err.line, str(err)
+
+
+@pytest.mark.parametrize("body, fast", [(body, False) for body, _, _ in INGEST_FAULTS] + [
+    ("100.0,5\n101.0,nan\n", True),
+    ("100.0,5\n101.0,-inf\n", True),
+    ("100.0,5\n101.0,-2\n", True),
+    ("100.0,5\n101.0,5,6\n", False),
+    ("100.0,5\n\n101.0,6\n", False),
+], ids=[*INGEST_FAULT_IDS, "non-finite", "infinite", "negative-counts", "extra-field",
+        "blank-line-reads"])
+def test_ingest_axis_fast_path_reads_as_the_general_path(tmp_path, monkeypatch, axis_reads,
+                                                         body, fast):
+    """The ingest faults, on a file whose tof_bins give its TOF text: rows
+    100.0, 101.0 and 102.0 take the first three bin centres as text, and a
+    body of two rows or more is padded with good rows to the 16 bins.  The
+    axis fast path, where it applies, reads what the general path reads."""
+    bins = TofBinning(3012.3456789, 3028.9, 16)
+    texts = [repr(t) for t in bins.centers.tolist()]
+    text_of = dict(zip(("100.0", "101.0", "102.0"), texts))
+    rows = []
+    for row in body.splitlines():
+        tof, comma, rest = row.partition(",")
+        rows.append(text_of.get(tof, tof) + comma + rest)
+    n_rows = sum(1 for row in rows if row.strip())
+    if n_rows >= 2:
+        rows += [f"{t},5.0" for t in texts[n_rows:]]
+    meta = {"schema": 1, "detector_index": 0,
+            "tof_bins": {"t_min": bins.t_min, "t_max": bins.t_max, "n_bins": 16}}
+    p = tmp_path / "case.csv"
+    p.write_text(f"# {json.dumps(meta)}\ntof_us,counts\n" + "".join(r + "\n" for r in rows))
+    outcome = ingest_outcome(p)
+    assert (True in axis_reads) == fast
+    monkeypatch.setattr(an, "table_axis", lambda meta, n_rows: None)
+    assert outcome == ingest_outcome(p)
+
+
+def test_package_files_take_the_axis_fast_path(tmp_path, axis_reads):
+    sample = make_sample(0.3, 2.01, 14.7)
+    geom = DetectorGeometry(11.6, 4.0, math.radians(15.0))
+    bins = recoil_tof_window(BEAM, (geom,), sample, 0.3, n_bins=512)
+    cfg = InstrumentConfig(BEAM, (geom,), TofBinning(bins.t_min + 0.1234567, bins.t_max, 512))
+    spec = poisson_sample(simulate_spectrum(cfg, sample, 0), 200000, 7)
+    spec_path, ke_path = tmp_path / "spectrum.csv", tmp_path / "ke.csv"
+    write_spectrum_csv(spec, spec_path)
+    back = an.ingest_spectrum(spec_path)
+    assert back.counts.tobytes() == spec.counts.tobytes()
+    red = an.reduce_spectrum(back, poisson_errors=True)
+    cli._write_ke_csv(red, back.metadata, ke_path)
+    cli._read_ke_csv(ke_path)
+    assert axis_reads == [True, True]
+    for path, names in ((spec_path, SPECTRUM_COLUMNS), (ke_path, cli.KE_COLUMNS)):
+        fast = tablefile.read_table(path, names, axis=table_axis)[1]
+        assert fast.tobytes() == tablefile.read_table(path, names)[1].tobytes()
+
+
+def test_tof_text_one_digit_off_reads_through_the_general_path(tmp_path, axis_reads):
+    bins = TofBinning(3012.3456789, 3028.9, 16)
+    spec = Spectrum(0, bins.edges, np.arange(16.0), {"schema": 1})
+    p = tmp_path / "spectrum.csv"
+    write_spectrum_csv(spec, p)
+    lines = p.read_text().splitlines()
+    tof, rest = lines[10].split(",")
+    i = tof.index(".") + 1
+    lines[10] = f"{tof[:i]}{(int(tof[i]) + 1) % 10}{tof[i + 1:]},{rest}"
+    p.write_text("\n".join(lines) + "\n")
+    meta, data, _ = tablefile.read_table(p, SPECTRUM_COLUMNS, axis=table_axis)
+    assert axis_reads == [False]
+    assert data.tobytes() == tablefile.read_table(p, SPECTRUM_COLUMNS)[1].tobytes()
+    assert data[8, 0] != table_axis(meta, 16)[8]
 
 
 def test_ingest_skips_blank_lines(tmp_path):

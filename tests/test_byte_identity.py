@@ -1,9 +1,10 @@
-"""The column-wise table writer, the vectorised ribbon, and the memoised
-trajectory with the lean centroid path produce the same bytes as the code
-they replaced, kept here as references."""
+"""The column-wise table writer, the vectorised pixel-binned ribbon, and the
+memoised trajectory with the lean centroid path produce the same bytes as the
+point-at-a-time code kept here as references."""
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -46,8 +47,10 @@ def ref_write_ke_csv(red, meta, path):
 
 
 def ref_circles(points):
-    """Ribbon circles drawn one point at a time."""
-    pts = [(k, e, i) for k, e, i in points if np.isfinite(e)]
+    """Ribbon circles binned to pixels one point at a time: one at the centre
+    of each pixel a shown point falls in, row by row, with the opacity
+    1 - prod(1 - a) of that pixel's points, in their order."""
+    pts = [p for p in points if all(map(math.isfinite, p))]
     ks = [p[0] for p in pts]
     es = [p[1] for p in pts]
     imax = max(p[2] for p in pts) or 1.0
@@ -55,14 +58,15 @@ def ref_circles(points):
     epad = 0.05 * (max(es) - min(es) or 1.0)
     ax = svgplot._Axes((min(ks) - kpad, max(ks) + kpad),
                        (min(es) - epad, max(es) + epad))
-    out = []
+    survive = {}
     for k, e, inten in pts:
-        a = max(min(inten / imax, 1.0), 0.0)
-        if a <= 0:
-            continue
-        out.append(f'<circle cx="{ax.x(k):.2f}" cy="{ax.y(e):.2f}" r="2.4" '
-                   f'fill="steelblue" fill-opacity="{a:.3f}"/>')
-    return out
+        a = min(inten / imax, 1.0)
+        if a > 0:
+            pixel = (math.floor(ax.y(e)), math.floor(ax.x(k)))
+            survive[pixel] = survive.get(pixel, 1.0) * (1.0 - a)
+    return [f'<circle cx="{col + 0.5:.2f}" cy="{row + 0.5:.2f}" r="2.4" '
+            f'fill="steelblue" fill-opacity="{1.0 - s:.3f}"/>'
+            for (row, col), s in sorted(survive.items())]
 
 
 def h2_config(t_min, t_max, n_bins):
@@ -147,6 +151,26 @@ def test_ribbon_circles_match_point_loop(as_array):
     drawn = [line for line in svg.splitlines() if 'r="2.4"' in line]
     assert drawn == ref_circles(points)
     assert 0 < len(drawn) < len(points) - 10
+
+
+def test_ribbon_draws_one_circle_per_occupied_pixel():
+    cfg = peak_config(512)
+    points = []
+    for seed in range(4):   # four draws of one detector stack onto the same pixels
+        spec = spectra.poisson_sample(
+            spectra.simulate_spectrum(cfg, h2_sample(), 0), 5000, seed=seed)
+        red = analysis.reduce_spectrum(spec, cfg, 0)
+        points += zip(red.k, red.e, red.intensity)
+    svg = svgplot.ribbon_svg(points)
+    drawn = [line for line in svg.splitlines() if 'r="2.4"' in line]
+    assert drawn == ref_circles(points)
+    centres = [tuple(float(v) for v in re.findall(r'c[xy]="([^"]+)"', line)) for line in drawn]
+    ax, _ = svgplot._ribbon(points)
+    occupied = {(math.floor(ax.x(k)), math.floor(ax.y(e))) for k, e, i in points
+                if math.isfinite(e) and i > 0}
+    assert len(set(centres)) == len(centres) <= len(occupied)
+    assert all((x - 0.5).is_integer() and (y - 0.5).is_integer() for x, y in centres)
+    assert len(centres) < sum(1 for p in points if p[2] > 0) / 2
 
 
 def test_ribbon_skips_non_finite_intensity():

@@ -304,18 +304,21 @@ def test_weakvalue_grid_over_the_node_cap_exits_2(capsys):
 
 @pytest.mark.parametrize("subcommand, field, value", [
     ("simulate", "E0", math.nan), ("audit", "L1", math.inf), ("audit", "t0", math.nan),
-    ("simulate", "E_rot", math.inf), ("simulate", "M", math.nan)])
+    ("simulate", "E_rot", math.inf), ("simulate", "M", math.nan),
+    ("simulate", "t_max", math.inf), ("simulate", "t_min", -math.inf)])
 def test_non_finite_instrument_or_sample_value_exits_2(tmp_path, capsys, subcommand, field, value):
     """json.load takes NaN and Infinity; before the boundary checks these ran
-    on to exit 4, a LAPACK failure, a silently dropped detector (exit 1) and
-    all-zero spectra (exit 0)."""
+    on to exit 4 (E0, and t_max after numpy warnings), a LAPACK failure, a
+    silently dropped detector (exit 1) and all-zero spectra (exit 0)."""
     tmp, inst, sample = write_h2_inputs(tmp_path, angles=(8, 13, 18, 23))
-    path = tmp / ("instrument.json" if field in ("E0", "L1", "t0") else "sample.json")
+    path = tmp / ("sample.json" if field in ("E_rot", "M") else "instrument.json")
     doc = json.loads(path.read_text())
     if field == "E0":
         doc["beam"]["E0"] = value
     elif field in ("L1", "t0"):
         doc["detectors"][1][field] = value
+    elif field in ("t_min", "t_max"):
+        doc["tof_bins"][field] = value
     else:
         doc[field] = value
     path.write_text(json.dumps(doc))
