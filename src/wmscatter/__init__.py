@@ -40,7 +40,6 @@ from .qstate import (
     MixedState,
     MomentumGrid,
     WaveFunction,
-    expectation_p,
     gaussian_state,
     grid_for_gaussians,
 )
@@ -50,8 +49,6 @@ from .spectra import (
     SampleModel,
     Spectrum,
     TofBinning,
-    arcs_like_instrument,
-    momentum_density,
     poisson_sample,
     s_ia,
     simulate_spectrum,

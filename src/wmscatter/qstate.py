@@ -2,7 +2,7 @@
 
 States live on a shared uniform momentum axis P (units hbar/Angstrom) and are
 normalized so that sum |Xi(P_j)|^2 dP = 1 by the trapezoidal rule.  Every
-integral (norms, overlaps, moments, weak-value numerators) is one pass of
+integral (norms, overlaps, weak-value numerators) is one pass of
 trapezoid_vdot: np.vdot over the samples it is given, the whole grid or a
 window of it, plus the endpoint corrections of the grid ends that window
 reaches.  Gaussian states carry an analytic descriptor of their center and
@@ -267,15 +267,3 @@ def gaussian_state(grid: MomentumGrid, center: float, sigma: float) -> WaveFunct
         amps = np.zeros(grid.n_points)
         amps[lo:hi] = seg
     return WaveFunction(grid, amps, GaussianTag(center, sigma), _built=True)
-
-
-def expectation_p(state) -> float:
-    """<P> of a normalized WaveFunction or MixedState."""
-    if isinstance(state, MixedState):
-        return sum(w * expectation_p(wf) for w, wf in state.components)
-    dev = abs(state.norm_sq() - 1.0)
-    if dev > 1e-6:
-        raise NotNormalized(f"norm deviates from 1 by {dev:.3e}")
-    amps = state.amplitudes
-    return float(trapezoid_vdot(amps, state.grid.points * amps, state.grid.dp).real)
-

@@ -7,9 +7,12 @@ momentum density evaluated on the energy shell,
     S(K, E) = n(P*) * M / (2 C_A K),    P* = (E - E_rec(K, M)) * M / (2 C_A K),
 
 with C_A = hbar^2/(2 u) in meV A^2, so that integral S dE = 1 for each K.
-Spectra are binned in TOF; the analytic Jacobian dE/dt = 2 C_E k1^2 / T
-(T = TOF over the scattered flight path) converts shell intensity to expected
-counts per bin, together with the standard k1/k0 cross-section prefactor.
+The sample's n(P) is a Gaussian or a Gaussian mixture centred at zero,
+sum_i w_i N(P; 0, sigma_i), and s_ia evaluates it in closed form: the
+simulator and a fit of the spectra share that one model.  Spectra are binned
+in TOF; the analytic Jacobian dE/dt = 2 C_E k1^2 / T (T = TOF over the
+scattered flight path) converts shell intensity to expected counts per bin,
+together with the standard k1/k0 cross-section prefactor.
 
 An optional momentum-transfer deficit can be injected: the recorded
 (neutron-side) momentum transfer K then relates to the atom-side transfer by
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants as C
-from .errors import NonPositiveK, NotNormalized, UnphysicalTOF
+from .errors import NonPositiveK, UnphysicalTOF
 from .kinematics import (
     DetectorGeometry,
     NeutronBeam,
@@ -39,13 +42,6 @@ from .kinematics import (
     recoil_energy,
     tof,
     trajectory,
-)
-from .qstate import (
-    MixedState,
-    WaveFunction,
-    expectation_p,
-    gaussian_state,
-    grid_for_gaussians,
 )
 from .tablefile import write_table
 
@@ -115,11 +111,22 @@ class DeficitInjection:
 
 @dataclass(frozen=True)
 class SampleModel:
-    """Scattering sample: mass, initial momentum distribution (centered at 0),
-    optional rotational offset E_rot, optional deficit injection."""
+    """Scattering sample: mass, initial momentum density, optional rotational
+    offset E_rot, optional deficit injection.
+
+    momentum_dist is a tuple of (weight, sigma) components, read as
+    n(P) = sum_i w_i N(P; 0, sigma_i): centred at zero by construction.  There
+    is at least one component, each weight is finite and >= 0, the weights sum
+    to 1 within 1e-10, and each sigma is positive and finite.
+
+    One other form is taken for momentum_dist: a Gaussian state carrying an
+    analytic descriptor centred at 0 (qstate.gaussian_state(grid, 0.0, s)),
+    read as ((1.0, s),).  It exists for the benchmark's h2_sample alone and
+    goes with the next change to the benchmark (ROADMAP Direction 1).
+    """
 
     mass: float
-    momentum_dist: object   # WaveFunction or MixedState
+    momentum_dist: tuple
     e_rot: float = 0.0
     deficit: DeficitInjection | None = None
 
@@ -128,10 +135,31 @@ class SampleModel:
             raise ValueError(f"sample mass M = {self.mass!r} must be positive and finite")
         if not 0 <= self.e_rot < math.inf:
             raise ValueError(f"E_rot = {self.e_rot!r} must be nonnegative and finite")
-        center = expectation_p(self.momentum_dist)
-        if abs(center) > 1e-6:
-            raise ValueError(
-                f"momentum distribution centered at {center:.3e}; scatterer must start at rest")
+        object.__setattr__(self, "momentum_dist", _components(self.momentum_dist))
+
+
+def _components(dist) -> tuple:
+    """The validated (weight, sigma) tuple of a SampleModel's momentum_dist."""
+    if hasattr(dist, "amplitudes"):   # the tagged Gaussian state of h2_sample
+        tag = dist.descriptor
+        if tag is None:
+            raise ValueError("a momentum_dist state needs a Gaussian descriptor")
+        if tag.center != 0:
+            raise ValueError(f"momentum_dist centred at {tag.center!r}; "
+                             "scatterer must start at rest")
+        dist = ((1.0, tag.sigma),)
+    comps = tuple((float(w), float(s)) for w, s in dist)
+    if not comps:
+        raise ValueError("momentum_dist needs at least one component")
+    for w, s in comps:
+        if not 0 <= w < math.inf:
+            raise ValueError(f"momentum_dist weight = {w!r} must be finite and nonnegative")
+        if not 0 < s < math.inf:
+            raise ValueError(f"momentum_dist sigma = {s!r} must be positive and finite")
+    wsum = sum(w for w, _ in comps)
+    if abs(wsum - 1.0) > 1e-10:
+        raise ValueError(f"momentum_dist weights must sum to 1 (got {wsum!r})")
+    return comps
 
 
 @dataclass(frozen=True)
@@ -162,36 +190,13 @@ class Spectrum:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-@dataclass(frozen=True)
-class TabulatedDensity:
-    """Momentum density n(P) sampled on a uniform axis; integrates to 1."""
-
-    p: np.ndarray
-    n: np.ndarray
-
-    def __call__(self, p_query):
-        return np.interp(p_query, self.p, self.n, left=0.0, right=0.0)
-
-
-def momentum_density(state) -> TabulatedDensity:
-    """n(P) = |Xi(P)|^2 (diagonal part only; mixtures add densities by weight)."""
-    if isinstance(state, MixedState):
-        dens = np.zeros(state.grid.n_points)
-        for w, wf in state.components:
-            dens += w * momentum_density(wf).n
-        return TabulatedDensity(state.grid.points, dens)
-    total = state.norm_sq()
-    if abs(total - 1.0) > 1e-6:
-        raise NotNormalized(f"density integrates to {total!r}")
-    n = np.abs(state.amplitudes) ** 2 / total
-    return TabulatedDensity(state.grid.points, n)
-
-
-def s_ia(k, omega_grid, density: TabulatedDensity, mass: float):
+def s_ia(k, omega_grid, components, mass: float):
     """Impulse-approximation S(K, E) tabulated on the given energy grid [meV].
 
-    k is one K or one per grid point (a detector trajectory).  Normalized so
-    that the integral over E is 1 for each K (delta-function reduction).
+    k is one K or one per grid point (a detector trajectory); components are
+    a SampleModel's (weight, sigma) pairs, so n(P*) = sum_i w_i N(P*; 0, sigma_i)
+    in closed form.  Normalized so that the integral over E is 1 for each K
+    (delta-function reduction).
     """
     if np.any(np.less_equal(k, 0)):
         raise NonPositiveK("K must be positive")
@@ -201,7 +206,9 @@ def s_ia(k, omega_grid, density: TabulatedDensity, mass: float):
     e_rec = recoil_energy(k, mass)
     jac = mass / (2.0 * C.ATOM_E_COEF * k)   # dP/dE on the shell
     p_star = (omega_grid - e_rec) * jac
-    return density(p_star) * jac
+    density = sum(w / (s * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * np.square(p_star / s))
+                  for w, s in components)
+    return density * jac
 
 
 # Trajectories kept by _trajectory: one per detector of the 11-detector H2
@@ -248,8 +255,7 @@ def simulate_spectrum(cfg: InstrumentConfig, sample: SampleModel,
             f"detector {det_index}: TOF bin at {t[bad]:.1f} us precedes the "
             "incident flight time; shrink the TOF window")
     k_atom = kk / sample.deficit.k_scale if sample.deficit else kk
-    s_vals = s_ia(k_atom, e - sample.e_rot, momentum_density(sample.momentum_dist),
-                  sample.mass)
+    s_vals = s_ia(k_atom, e - sample.e_rot, sample.momentum_dist, sample.mass)
     counts = (k1 / cfg.beam.k0) * s_vals * jac * cfg.tof_bins.width
     meta = {
         "schema": 1,
@@ -287,19 +293,13 @@ def sample_summary(sample: SampleModel) -> dict:
     if sample.deficit is not None:
         d["deficit"] = {"lambda": sample.deficit.lam,
                         "width_ratio": sample.deficit.width_ratio}
-    dist = sample.momentum_dist
-    if isinstance(dist, MixedState):
-        d["momentum_dist"] = {
-            "type": "mixture",
-            "components": [
-                {"weight": w,
-                 "sigma": wf.descriptor.sigma if wf.descriptor else None}
-                for w, wf in dist.components],
-        }
+    comps = sample.momentum_dist
+    if len(comps) == 1:
+        d["momentum_dist"] = {"type": "gaussian", "sigma": comps[0][1]}
     else:
         d["momentum_dist"] = {
-            "type": "gaussian" if dist.descriptor else "tabulated",
-            "sigma": dist.descriptor.sigma if dist.descriptor else None,
+            "type": "mixture",
+            "components": [{"weight": w, "sigma": s} for w, s in comps],
         }
     return d
 
@@ -363,22 +363,7 @@ def recoil_tof_window(beam: NeutronBeam, detectors, sample: SampleModel,
     return TofBinning(t_lo, t_hi, n_bins)
 
 
-# --- instrument presets and JSON config I/O -----------------------------------
-
-def arcs_like_instrument(theta_deg=None, e0=90.0, tof_window=None, n_bins=512):
-    """Synthetic direct-geometry preset: L0 = 11.6 m, L1 = 4.0 m, detectors at
-    10..130 degrees in 5-degree steps, t0 = 0.  Only E0 = 90 meV is tied to a
-    real measurement; the rest are plumbing defaults."""
-    if theta_deg is None:
-        theta_deg = list(range(10, 135, 5))
-    beam = NeutronBeam(e0)
-    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a)) for a in theta_deg)
-    if tof_window is None:
-        t_elastic = (11.6 + 4.0) / beam.v0 / C.US_S
-        tof_window = (0.85 * t_elastic, 2.0 * t_elastic)
-    bins = TofBinning(tof_window[0], tof_window[1], n_bins)
-    return InstrumentConfig(beam, dets, bins)
-
+# --- instrument and sample JSON config I/O -----------------------------------
 
 def instrument_to_dict(cfg: InstrumentConfig) -> dict:
     return {
@@ -427,15 +412,9 @@ def sample_from_dict(doc: dict) -> SampleModel:
         raise ValueError(f"unsupported config schema {doc.get('schema')!r}")
     dist = doc["momentum_dist"]
     if dist["type"] == "gaussian":
-        sigma = float(dist["sigma"])
-        grid = grid_for_gaussians([0.0], [sigma])
-        momentum = gaussian_state(grid, 0.0, sigma)
+        momentum = ((1.0, dist["sigma"]),)
     elif dist["type"] == "mixture":
-        sigmas = [float(c["sigma"]) for c in dist["components"]]
-        weights = [float(c["weight"]) for c in dist["components"]]
-        grid = grid_for_gaussians([0.0] * len(sigmas), sigmas)
-        momentum = MixedState(tuple(
-            (w, gaussian_state(grid, 0.0, s)) for w, s in zip(weights, sigmas)))
+        momentum = tuple((c["weight"], c["sigma"]) for c in dist["components"])
     else:
         raise ValueError(f"unknown momentum_dist type {dist['type']!r}")
     deficit = None

@@ -15,7 +15,6 @@ from wmscatter import constants as C
 from wmscatter.errors import InsufficientPoints
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam
 from wmscatter.kinematics import KEPoint
-from wmscatter.qstate import gaussian_state, grid_for_gaussians
 
 BEAM = NeutronBeam(90.0)
 
@@ -75,8 +74,7 @@ def h2_config(t_min, t_max, n_bins):
 
 
 def h2_sample():
-    grid = grid_for_gaussians([0.0], [0.3])
-    return spectra.SampleModel(2.01, gaussian_state(grid, 0.0, 0.3), 14.7)
+    return spectra.SampleModel(2.01, ((1.0, 0.3),), 14.7)
 
 
 def peak_config(n_bins=2048, t_offset=0.0):

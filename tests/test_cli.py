@@ -104,8 +104,8 @@ def test_full_chain(h2_inputs, capsys):
 
 
 @pytest.mark.parametrize("angles, n_bins, m_eff, max_stderr", [
-    ((8, 13, 18, 23, 28), 512, 0.6295557, 1e-2),
-    (range(8, 29, 2), 2048, 0.6296559, 1e-3),
+    ((8, 13, 18, 23, 28), 512, 0.6295559, 1e-2),
+    (range(8, 29, 2), 2048, 0.6296568, 1e-3),
 ], ids=["5x512", "11x2048"])
 def test_noiseless_chain_gets_chi2_stderrs(tmp_path, angles, n_bins, m_eff, max_stderr):
     """A noiseless spectrum records a null seed, so reduce scales its
@@ -331,6 +331,37 @@ def test_non_finite_instrument_or_sample_value_exits_2(tmp_path, capsys, subcomm
     captured = capsys.readouterr()
     assert captured.out == "" and not (tmp / "sim").exists()
     assert captured.err.startswith("error: ") and f"{field} = {value!r} must be" in captured.err
+
+
+@pytest.mark.parametrize("dist, named", [
+    ({"type": "gaussian", "sigma": 0.0}, "sigma = 0.0 must be positive and finite"),
+    ({"type": "gaussian", "sigma": -0.3}, "sigma = -0.3 must be positive and finite"),
+    ({"type": "gaussian", "sigma": math.nan}, "sigma = nan must be positive and finite"),
+    ({"type": "gaussian", "sigma": math.inf}, "sigma = inf must be positive and finite"),
+    ({"type": "mixture", "components": []}, "needs at least one component"),
+    ({"type": "mixture", "components": [{"weight": 0.6, "sigma": 0.3},
+                                        {"weight": 0.6, "sigma": 0.6}]},
+     "weights must sum to 1"),
+    ({"type": "mixture", "components": [{"weight": -0.2, "sigma": 0.3},
+                                        {"weight": 1.2, "sigma": 0.6}]},
+     "weight = -0.2 must be finite and nonnegative"),
+    ({"type": "mixture", "components": [{"weight": math.nan, "sigma": 0.3},
+                                        {"weight": 1.0, "sigma": 0.6}]},
+     "weight = nan must be finite and nonnegative"),
+], ids=["sigma-0", "sigma-neg", "sigma-nan", "sigma-inf", "empty-mixture", "weights-1.2",
+        "weight-neg", "weight-nan"])
+def test_bad_sample_width_or_weights_exit_2(tmp_path, capsys, dist, named):
+    """sigma 0 and -0.3 once exited 1 (qstate's NonPositiveSigma), and an
+    empty mixture exited 2 with numpy's message about a zero-size array."""
+    tmp, inst, sample = write_h2_inputs(tmp_path, angles=(8, 13, 18, 23))
+    doc = json.loads((tmp / "sample.json").read_text())
+    doc["momentum_dist"] = dist
+    (tmp / "sample.json").write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--instrument", inst, "--sample", sample,
+                     "--out", str(tmp / "sim")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp / "sim").exists()
+    assert captured.err.startswith("error: momentum_dist ") and named in captured.err
 
 
 def test_cli_import_leaves_out_scipy():

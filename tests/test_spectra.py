@@ -1,6 +1,7 @@
-"""Forward instrument model tests: density, S_IA, trajectories, simulation,
-deficit injection, counting noise, file round trips."""
+"""Forward instrument model tests: sample density, S_IA, trajectories,
+simulation, deficit injection, counting noise, file round trips."""
 
+import ast
 import json
 import math
 
@@ -12,22 +13,22 @@ from wmscatter import constants as C
 from wmscatter import spectra
 from wmscatter.errors import NonPositiveK, UnphysicalTOF
 from wmscatter.kinematics import DetectorGeometry, NeutronBeam, k_transfer, tof, trajectory
-from wmscatter.qstate import MixedState, WaveFunction, gaussian_state, grid_for_gaussians
+from wmscatter import qstate
+from wmscatter.qstate import WaveFunction, gaussian_state, grid_for_gaussians
 from wmscatter.spectra import (
     DeficitInjection,
     InstrumentConfig,
     SampleModel,
     Spectrum,
     TofBinning,
-    arcs_like_instrument,
     instrument_from_dict,
     instrument_to_dict,
-    momentum_density,
     poisson_sample,
     recoil_peak_k1,
     recoil_tof_window,
     s_ia,
     sample_from_dict,
+    sample_summary,
     simulate_spectrum,
     write_spectrum_csv,
 )
@@ -36,8 +37,15 @@ BEAM = NeutronBeam(90.0)
 
 
 def make_sample(sigma_p, mass, e_rot=0.0, deficit=None):
-    grid = grid_for_gaussians([0.0], [sigma_p])
-    return SampleModel(mass, gaussian_state(grid, 0.0, sigma_p), e_rot, deficit)
+    return SampleModel(mass, ((1.0, sigma_p),), e_rot, deficit)
+
+
+def bank_cfg(theta_degs, n_bins=512):
+    """Detectors at L0 = 11.6 m, L1 = 4.0 m, t0 = 0 and the given angles, with
+    a TOF window from 0.85 to 2 elastic flight times."""
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a)) for a in theta_degs)
+    t_elastic = (11.6 + 4.0) / BEAM.v0 / C.US_S
+    return InstrumentConfig(BEAM, dets, TofBinning(0.85 * t_elastic, 2.0 * t_elastic, n_bins))
 
 
 def one_detector_cfg(theta_deg, sample, sigma_p, n_bins=512):
@@ -56,67 +64,54 @@ def centroid_points(sample, sigma_p, theta_degs, n_bins=512):
     return pts
 
 
-# --- momentum density -----------------------------------------------------------
+# --- sample density and the impulse-approximation structure factor -------------
+
+def shell_density(k, mass, components, span):
+    """(P*, n(P*)) read back from S_IA at one K over P* in [-span, span]:
+    n = S / (dP/dE)."""
+    jac = mass / (2.0 * C.ATOM_E_COEF * k)
+    e = C.ATOM_E_COEF * k**2 / mass + np.linspace(-span, span, 8193) / jac
+    return (e - C.ATOM_E_COEF * k**2 / mass) * jac, s_ia(k, e, components, mass) / jac
+
 
 def test_density_gaussian_std():
-    grid = grid_for_gaussians([0.0], [0.7])
-    state = gaussian_state(grid, 0.0, 0.7)
-    dens = momentum_density(state)
-    dp = grid.dp
-    total = np.trapezoid(dens.n, dx=dp)
-    assert total == pytest.approx(1.0, abs=1e-10)
-    var = np.trapezoid(dens.p**2 * dens.n, dx=dp)
-    assert math.sqrt(var) == pytest.approx(0.7, rel=1e-8)
-
-
-def test_density_commutes_with_shift():
-    grid = grid_for_gaussians([0.0, 2.0], [0.6, 0.6])
-    tagless = WaveFunction(grid, gaussian_state(grid, 1.5, 0.6).amplitudes)
-    d1 = momentum_density(tagless)
-    # the density of the state moved to 1.5 is the density moved to 1.5
-    expect = np.exp(-((grid.points - 1.5) ** 2) / (2 * 0.6**2)) / (0.6 * math.sqrt(2 * math.pi))
-    assert np.allclose(d1.n, expect, atol=1e-9)
-    assert np.array_equal(d1.n, momentum_density(gaussian_state(grid, 1.5, 0.6)).n)
+    p, n = shell_density(3.0, 2.01, ((1.0, 0.7),), 10 * 0.7)
+    assert np.trapezoid(n, p) == pytest.approx(1.0, abs=1e-10)
+    assert np.trapezoid(p * n, p) == pytest.approx(0.0, abs=1e-12)
+    assert math.sqrt(np.trapezoid(p**2 * n, p)) == pytest.approx(0.7, rel=1e-8)
 
 
 def test_density_mixture_weighted_sum():
-    grid = grid_for_gaussians([0.0], [0.5, 1.0])
-    a = gaussian_state(grid, 0.0, 0.5)
-    b = gaussian_state(grid, 0.0, 1.0)
-    mix = MixedState(((0.25, a), (0.75, b)))
-    dm = momentum_density(mix)
-    expect = 0.25 * momentum_density(a).n + 0.75 * momentum_density(b).n
-    assert np.allclose(dm.n, expect)
+    k, mass = 4.0, 2.01
+    e = np.linspace(20.0, 80.0, 512)
+    mix = s_ia(k, e, ((0.25, 0.5), (0.75, 1.0)), mass)
+    expect = 0.25 * s_ia(k, e, ((1.0, 0.5),), mass) + 0.75 * s_ia(k, e, ((1.0, 1.0),), mass)
+    assert np.allclose(mix, expect, rtol=1e-14, atol=0.0)
+    p, n = shell_density(k, mass, ((0.25, 0.5), (0.75, 1.0)), 10.0)
+    assert np.trapezoid(n, p) == pytest.approx(1.0, abs=1e-10)
+    assert np.trapezoid(p**2 * n, p) == pytest.approx(0.25 * 0.5**2 + 0.75 * 1.0**2, rel=1e-8)
 
-
-# --- impulse-approximation structure factor --------------------------------------
 
 def test_s_ia_sum_rule_and_center():
-    grid = grid_for_gaussians([0.0], [0.8])
-    dens = momentum_density(gaussian_state(grid, 0.0, 0.8))
     for k in (1.5, 3.0, 6.0):
         for mass in (1.0079, 2.01, 4.0026):
             e_rec = C.ATOM_E_COEF * k**2 / mass
             width = 2.0 * C.ATOM_E_COEF * k * 0.8 / mass
             e = np.linspace(e_rec - 8 * width, e_rec + 8 * width, 4096)
-            s = s_ia(k, e, dens, mass)
+            s = s_ia(k, e, ((1.0, 0.8),), mass)
             assert np.trapezoid(s, e) == pytest.approx(1.0, abs=1e-6)
             spacing = e[1] - e[0]
             assert np.trapezoid(e * s, e) == pytest.approx(e_rec, abs=spacing)
-            # argmax resolution is limited by the density knots mapped into E
-            knot = grid.dp * 2.0 * C.ATOM_E_COEF * k / mass
-            assert e[np.argmax(s)] == pytest.approx(e_rec, abs=spacing + knot)
+            assert e[np.argmax(s)] == pytest.approx(e_rec, abs=spacing)
 
 
 def test_s_ia_width_matches_doppler():
     sigma_p = 0.6
     k, mass = 4.0, 2.01
-    grid = grid_for_gaussians([0.0], [sigma_p])
-    dens = momentum_density(gaussian_state(grid, 0.0, sigma_p))
     e_rec = C.ATOM_E_COEF * k**2 / mass
     width_pred = 2.0 * C.ATOM_E_COEF * k * sigma_p / mass
     e = np.linspace(e_rec - 10 * width_pred, e_rec + 10 * width_pred, 8192)
-    s = s_ia(k, e, dens, mass)
+    s = s_ia(k, e, ((1.0, sigma_p),), mass)
     mean = np.trapezoid(e * s, e)
     std = math.sqrt(np.trapezoid((e - mean) ** 2 * s, e))
     assert std == pytest.approx(width_pred, rel=1e-4)
@@ -129,12 +124,11 @@ def test_s_ia_width_matches_doppler():
 
 
 def test_s_ia_rejects_bad_k():
-    grid = grid_for_gaussians([0.0], [0.5])
-    dens = momentum_density(gaussian_state(grid, 0.0, 0.5))
+    comps = ((1.0, 0.5),)
     with pytest.raises(NonPositiveK):
-        s_ia(0.0, np.linspace(0, 10, 64), dens, 1.0)
+        s_ia(0.0, np.linspace(0, 10, 64), comps, 1.0)
     with pytest.raises(NonPositiveK):
-        s_ia(np.linspace(2.0, -0.5, 64), np.linspace(0, 10, 64), dens, 1.0)
+        s_ia(np.linspace(2.0, -0.5, 64), np.linspace(0, 10, 64), comps, 1.0)
 
 
 # --- detector trajectories ---------------------------------------------------------
@@ -177,7 +171,7 @@ def test_trajectory_monotone_energy_and_angle_dependence():
 
 
 def test_trajectory_satisfies_k_relation():
-    cfg = arcs_like_instrument(theta_deg=[50], n_bins=64)
+    cfg = bank_cfg([50], n_bins=64)
     valid, es, ks = kernel_trajectory(cfg, 0)
     for e, kk, ok in zip(es, ks, valid):
         if not ok:
@@ -205,7 +199,7 @@ def test_trajectory_flags_unphysical_bins():
 # --- the trajectory memo ----------------------------------------------------------
 
 def test_memoised_trajectory_is_read_only():
-    cfg = arcs_like_instrument(theta_deg=[35], n_bins=64)
+    cfg = bank_cfg([35], n_bins=64)
     red = analysis.reduce_spectrum(Spectrum(0, cfg.tof_bins.edges, np.ones(64)), cfg, 0)
     for arr in spectra._trajectory_arrays(cfg, 0) + (red.t, red.k, red.e, red.factor):
         with pytest.raises(ValueError):
@@ -228,7 +222,7 @@ def test_geometry_from_spectrum_file_hits_the_simulated_entry(tmp_path):
 def test_trajectory_memo_stays_bounded():
     info = spectra._trajectory.cache_info()
     assert info.maxsize == spectra.TRAJECTORY_MEMO_SIZE >= 11
-    cfg = arcs_like_instrument(theta_deg=range(10, 130, 5), n_bins=32)
+    cfg = bank_cfg(range(10, 130, 5), n_bins=32)
     assert len(cfg.detectors) > spectra.TRAJECTORY_MEMO_SIZE
     for d in range(len(cfg.detectors)):
         spectra._trajectory_arrays(cfg, d)
@@ -239,9 +233,10 @@ def test_bank_trajectory_matches_each_memo_entry():
     # one (n_det, 1) x (n_bins,) kernel call gives each detector's memoised
     # arrays bit for bit: np.cos on a column and on one scalar theta agree.
     # The window opens before the incident arrival, so nan bins are compared too.
-    arcs = arcs_like_instrument(theta_deg=[8, 11, 17.5, 29, 44, 73, 96, 130])
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a))
+                 for a in (8, 11, 17.5, 29, 44, 73, 96, 130))
     t_in = 11.6 / BEAM.v0 / C.US_S
-    cfg = InstrumentConfig(BEAM, arcs.detectors, TofBinning(t_in - 50.0, 3.0 * t_in, 257))
+    cfg = InstrumentConfig(BEAM, dets, TofBinning(t_in - 50.0, 3.0 * t_in, 257))
     col = {name: np.array([[getattr(g, name)] for g in cfg.detectors])
            for name in ("l0", "l1", "theta", "t0")}
     bank = trajectory(cfg.beam.e0, col["l0"], col["l1"], col["theta"], col["t0"],
@@ -398,7 +393,7 @@ def test_spectrum_rejects_non_finite_or_negative_counts(bad):
 # --- config and file I/O --------------------------------------------------------------
 
 def test_instrument_json_roundtrip(tmp_path):
-    cfg = arcs_like_instrument()
+    cfg = bank_cfg(range(10, 135, 5))
     doc = instrument_to_dict(cfg)
     assert doc["schema"] == 1
     back = instrument_from_dict(json.loads(json.dumps(doc)))
@@ -421,34 +416,111 @@ def test_sample_from_dict_mixture_and_deficit():
                {"weight": 0.6, "sigma": 0.3}, {"weight": 0.4, "sigma": 0.6}]},
            "deficit": {"lambda": 0.5, "width_ratio": 1.0}}
     sample = sample_from_dict(doc)
-    assert isinstance(sample.momentum_dist, MixedState)
+    assert sample.momentum_dist == ((0.6, 0.3), (0.4, 0.6))
     assert sample.deficit.lam == 0.5
     assert sample.deficit.k_scale == pytest.approx(0.75)
+    assert sample_summary(sample)["momentum_dist"] == doc["momentum_dist"]
     gauss = sample_from_dict({**doc, "momentum_dist": {"type": "gaussian", "sigma": 0.3}})
-    for _, wf in (*sample.momentum_dist.components, (1.0, gauss.momentum_dist)):
-        assert wf.amplitudes.dtype == np.float64
-        assert not wf.amplitudes.flags.writeable
+    assert gauss.momentum_dist == ((1.0, 0.3),)
+    assert sample_summary(gauss)["momentum_dist"] == {"type": "gaussian", "sigma": 0.3}
 
 
-def test_density_of_real_state_matches_complex_copy():
-    # the H2 samples of the forward model: the density of the real amplitudes
-    # is bit for bit that of the same amplitudes held as complex, so spectra
-    # do not depend on the amplitudes' kind
+def test_one_component_mixture_is_summarised_as_gaussian():
+    one = sample_from_dict({"schema": 1, "M": 2.01, "momentum_dist": {
+        "type": "mixture", "components": [{"weight": 1.0, "sigma": 0.3}]}})
+    assert sample_summary(one)["momentum_dist"] == {"type": "gaussian", "sigma": 0.3}
+
+
+def test_sample_from_dict_builds_no_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("sample_from_dict built a momentum grid")
+
+    # and under any name spectra may have imported it by
+    monkeypatch.setattr(qstate, "grid_for_gaussians", no_grid)
+    monkeypatch.setattr(spectra, "grid_for_gaussians", no_grid, raising=False)
     for dist in ({"type": "gaussian", "sigma": 0.3},
                  {"type": "mixture", "components": [{"weight": 0.6, "sigma": 0.3},
                                                     {"weight": 0.4, "sigma": 0.6}]}):
-        state = sample_from_dict({"schema": 1, "M": 2.01, "momentum_dist": dist}).momentum_dist
-        for _, real in getattr(state, "components", ((1.0, state),)):
-            as_complex = WaveFunction(real.grid, real.amplitudes + 0j)
-            assert as_complex.amplitudes.dtype == np.complex128
-            assert momentum_density(real).n.tobytes() == momentum_density(as_complex).n.tobytes()
+        sample_from_dict({"schema": 1, "M": 2.01, "momentum_dist": dist})
 
 
 def test_sample_requires_centered_distribution():
     grid = grid_for_gaussians([0.0, 2.0], [0.5, 0.5])
     off = gaussian_state(grid, 2.0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="centred at 2.0"):
         SampleModel(1.0, off)
+    # a tagless state carries no sigma to read
+    with pytest.raises(ValueError, match="descriptor"):
+        SampleModel(1.0, WaveFunction(grid, gaussian_state(grid, 0.0, 0.5).amplitudes))
+
+
+def test_tagged_state_gives_the_tuples_spectra():
+    # the benchmark's h2_sample passes a tagged Gaussian state
+    grid = grid_for_gaussians([0.0], [0.3])
+    deficit = DeficitInjection(0.87, 1.0)
+    tagged = SampleModel(2.01, gaussian_state(grid, 0.0, 0.3), 14.7, deficit)
+    plain = SampleModel(2.01, ((1.0, 0.3),), 14.7, deficit)
+    assert tagged == plain
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a)) for a in range(8, 29, 4))
+    cfg = InstrumentConfig(BEAM, dets, recoil_tof_window(BEAM, dets, plain, 0.3, n_bins=1024))
+    for d in range(len(cfg.detectors)):
+        a, b = simulate_spectrum(cfg, tagged, d), simulate_spectrum(cfg, plain, d)
+        assert a.counts.tobytes() == b.counts.tobytes()
+        assert a.metadata == b.metadata
+
+
+def oracle_counts(cfg, sample, d):
+    """(k1/k0) * sum_i w_i N(P*; 0, sigma_i) * (dP/dE) * (dE/dt) * dt, one bin
+    at a time with math.exp, on the trajectory arrays of the kinematics kernel."""
+    g = cfg.detectors[d]
+    _, k1, e, kk, rate = trajectory(cfg.beam.e0, g.l0, g.l1, g.theta, g.t0,
+                                    cfg.tof_bins.centers)
+    k_scale = sample.deficit.k_scale if sample.deficit else 1.0
+    out = []
+    for k1_j, e_j, k_j, rate_j in zip(k1.tolist(), e.tolist(), kk.tolist(), rate.tolist()):
+        k_atom = k_j / k_scale
+        dp_de = sample.mass / (2.0 * C.ATOM_E_COEF * k_atom)
+        p_star = (e_j - sample.e_rot - C.ATOM_E_COEF * (k_atom * k_atom) / sample.mass) * dp_de
+        n = 0.0
+        for w, s in sample.momentum_dist:
+            # squares are x * x, rounded once as numpy's are: 10 widths into
+            # a tail, exp turns the 1-ulp error of pow(x, 2) into 1e-14
+            u = p_star / s
+            n += w * math.exp(-0.5 * (u * u)) / (s * math.sqrt(2.0 * math.pi))
+        out.append((k1_j / cfg.beam.k0) * n * dp_de * rate_j * cfg.tof_bins.width)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("comps", [((1.0, 0.3),), ((0.6, 0.3), (0.4, 0.6))],
+                         ids=["gaussian", "mixture"])
+@pytest.mark.parametrize("deficit", [None, DeficitInjection(0.87, 1.0)],
+                         ids=["no-deficit", "deficit"])
+def test_spectra_match_a_scalar_closed_form(comps, deficit):
+    sample = SampleModel(2.01, comps, 14.7, deficit)
+    dets = tuple(DetectorGeometry(11.6, 4.0, math.radians(a)) for a in (8, 15, 22, 28))
+    sigma_max = max(s for _, s in comps)
+    cfg = InstrumentConfig(BEAM, dets, recoil_tof_window(BEAM, dets, sample, sigma_max,
+                                                         n_bins=2048))
+    for d in range(len(dets)):
+        got = simulate_spectrum(cfg, sample, d).counts
+        want = oracle_counts(cfg, sample, d)
+        assert np.count_nonzero(want) > 1000
+        # subnormal bins (below the smallest normal double) carry fewer bits
+        # than a relative 1e-14 asks for
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=np.finfo(float).tiny)
+
+
+def test_spectra_import_nothing_from_qstate():
+    with open(spectra.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    assert not any("qstate" in n for n in names), names
 
 
 def test_spectrum_csv_roundtrip(tmp_path):
