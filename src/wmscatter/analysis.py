@@ -42,7 +42,8 @@ from .spectra import (
     InstrumentConfig,
     Spectrum,
     _trajectory_arrays,
-    instrument_from_dict,
+    json_field,
+    metadata_instrument,
     table_axis,
 )
 from .tablefile import read_table, write_table
@@ -350,7 +351,8 @@ def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
     poisson_errors says whether the counts are Poisson draws.
 
     Without an explicit cfg the single-detector geometry embedded in the
-    spectrum metadata is used; MissingMetadata names the keys it lacks.
+    spectrum metadata is used; MissingMetadata names the keys it lacks, or
+    the field it holds in a form no instrument takes (a null detector.theta).
     """
     if cfg is None:
         meta = spec.metadata
@@ -358,7 +360,10 @@ def reduce_spectrum(spec: Spectrum, cfg: InstrumentConfig | None = None,
         if missing:
             raise MissingMetadata(
                 f"spectrum metadata lacks {', '.join(missing)}; pass an instrument config")
-        cfg = instrument_from_dict({**meta, "detectors": [meta["detector"]]})
+        try:
+            cfg = metadata_instrument(meta)
+        except ValueError as exc:
+            raise MissingMetadata(f"spectrum metadata: {exc}") from None
         det_index = 0
     elif det_index is None:
         det_index = spec.detector_index
@@ -532,24 +537,33 @@ def ingest_spectrum(path) -> Spectrum:
     The first line must be a '#'-prefixed JSON metadata record
     (MissingMetadata otherwise).  Malformed rows, non-finite values and
     negative counts raise ParseError with their 1-based line number, and
-    fewer than 2 data rows one at the file's last line.
+    fewer than 2 data rows one at the file's last line.  A null or wrongly
+    shaped detector_index or tof_bins field raises ParseError at line 1,
+    naming the field.
     """
     meta, data, n_lines = read_table(path, SPECTRUM_COLUMNS, _spectrum_fault,
                                      axis=table_axis)
     if len(data) < 2:   # the bin edges need two TOF rows
         raise ParseError(n_lines, "need at least 2 data rows")
     c = np.ascontiguousarray(data[:, 1])
-    tb = meta.get("tof_bins")
-    if tb and int(tb["n_bins"]) != len(c):
-        raise ParseError(n_lines,
-                         f"metadata says {tb['n_bins']} bins, file has {len(c)}")
-    if tb:
-        edges = np.linspace(float(tb["t_min"]), float(tb["t_max"]), len(c) + 1)
-    else:
+    try:
+        det_index = json_field(meta, "detector_index", int, default=0)
+        tb = json_field(meta, "tof_bins", dict) if meta.get("tof_bins") else None
+        if tb is not None:
+            n_bins = json_field(tb, "n_bins", int, at="tof_bins.")
+            t_min = json_field(tb, "t_min", at="tof_bins.")
+            t_max = json_field(tb, "t_max", at="tof_bins.")
+    except ValueError as exc:
+        raise ParseError(1, f"metadata {exc}") from None
+    if tb is None:
         t = data[:, 0]
         half = 0.5 * (t[1] - t[0])
         edges = np.concatenate([t - half, [t[-1] + half]])
-    return Spectrum(int(meta.get("detector_index", 0)), edges, c, meta)
+    elif n_bins != len(c):
+        raise ParseError(n_lines, f"metadata says {n_bins} bins, file has {len(c)}")
+    else:
+        edges = np.linspace(t_min, t_max, len(c) + 1)
+    return Spectrum(det_index, edges, c, meta)
 
 
 def _spectrum_fault(data, row_text):

@@ -24,12 +24,13 @@ lists in left_out) any detector without one, unless none has one.
 
 Exit codes: 0 success; 2 invalid arguments (a repeated audit parameter, a
 non-finite or non-positive weakvalue input and one that needs a grid of more
-than qstate.MAX_POINTS nodes among them), a config parse failure, a NaN or
-infinite instrument or sample value (E0, L0, L1, t0, the TOF bins' t_min
-and t_max, M, E_rot; json.load takes NaN and Infinity), a sample momentum_dist
-without components, with a negative or non-finite weight, weights not summing
-to 1 or a sigma not positive and finite, or a centroid of a detector the
-instrument lacks;
+than qstate.MAX_POINTS nodes among them), a config parse failure (one
+with a null, missing or wrongly shaped field among them, named in the
+message), a NaN or infinite instrument or sample value (E0, L0, L1, t0, the
+TOF bins' t_min and t_max, M, E_rot; json.load takes NaN and Infinity), a
+sample momentum_dist without components, with a negative or non-finite
+weight, weights not summing to 1 or a sigma not positive and finite, or a
+centroid of a detector the instrument lacks;
 3 orthogonal post-selection;
 4 unphysical TOF range; 1 other library errors (for reduce, any input that
 failed; centroids.csv lists them and the rest).

@@ -103,4 +103,5 @@ class ParseError(WmScatterError):
 
 class MissingMetadata(WmScatterError):
     """A file lacks its '#' JSON metadata header, or a spectrum's metadata
-    lacks the instrument keys needed to reduce it."""
+    lacks the instrument keys needed to reduce it or holds one that no
+    instrument takes."""

@@ -365,6 +365,35 @@ def recoil_tof_window(beam: NeutronBeam, detectors, sample: SampleModel,
 
 # --- instrument and sample JSON config I/O -----------------------------------
 
+_REQUIRED = object()
+# What each kind of field read takes, and its name in an error message
+_JSON_KINDS = {float: ((int, float), "number"), int: ((int, float), "integer"),
+               dict: (dict, "object"), list: (list, "array")}
+
+
+def json_field(doc: dict, key: str, kind=float, at: str = "", default=_REQUIRED):
+    """doc[key] read by json_value as the field at + key, or default when doc
+    lacks key; a ValueError names the field when it is missing without one."""
+    if key in doc:
+        return json_value(doc[key], at + key, kind)
+    if default is _REQUIRED:
+        raise ValueError(f"{at}{key} is missing")
+    return default
+
+
+def json_value(value, name: str, kind=float):
+    """value read as a JSON field of kind: float takes a number, int a whole
+    number, dict an object and list an array.  Anything else, null, true and
+    a numeric string among them, raises a ValueError naming the field, so a
+    config or metadata fault never escapes as a TypeError."""
+    types, noun = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types) \
+            or (kind is int and not (isinstance(value, int) or value.is_integer())):
+        text = json.dumps(value, default=repr)
+        raise ValueError(f"{name} = {text} is not a JSON {noun}")
+    return kind(value) if kind in (float, int) else value
+
+
 def instrument_to_dict(cfg: InstrumentConfig) -> dict:
     return {
         "schema": 1,
@@ -376,17 +405,35 @@ def instrument_to_dict(cfg: InstrumentConfig) -> dict:
 
 
 def instrument_from_dict(doc: dict) -> InstrumentConfig:
+    doc = json_value(doc, "instrument config", dict)
+    return _instrument(doc, [(f"detectors[{i}]", g)
+                             for i, g in enumerate(json_field(doc, "detectors", list))])
+
+
+def metadata_instrument(meta: dict) -> InstrumentConfig:
+    """The one-detector instrument a spectrum's metadata records under beam,
+    detector and tof_bins."""
+    return _instrument(meta, [("detector", meta.get("detector"))])
+
+
+def _instrument(doc: dict, detectors) -> InstrumentConfig:
+    """The InstrumentConfig of doc's beam and tof_bins and the detectors, given
+    as (field name, JSON object) pairs."""
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported config schema {doc.get('schema')!r}")
-    beam = NeutronBeam(float(doc["beam"]["E0"]))
+    beam = NeutronBeam(json_field(json_field(doc, "beam", dict), "E0", at="beam."))
     dets = []
-    for g in doc["detectors"]:
-        theta = math.radians(float(g["theta_deg"])) if "theta_deg" in g \
-            else float(g["theta"])
-        dets.append(DetectorGeometry(float(g["L0"]), float(g["L1"]),
-                                     theta, float(g.get("t0", 0.0))))
-    tb = doc["tof_bins"]
-    bins = TofBinning(float(tb["t_min"]), float(tb["t_max"]), int(tb["n_bins"]))
+    for at, g in detectors:
+        g = json_value(g, at, dict)
+        at += "."
+        theta = math.radians(json_field(g, "theta_deg", at=at)) if "theta_deg" in g \
+            else json_field(g, "theta", at=at)
+        dets.append(DetectorGeometry(json_field(g, "L0", at=at), json_field(g, "L1", at=at),
+                                     theta, json_field(g, "t0", at=at, default=0.0)))
+    tb = json_field(doc, "tof_bins", dict)
+    bins = TofBinning(json_field(tb, "t_min", at="tof_bins."),
+                      json_field(tb, "t_max", at="tof_bins."),
+                      json_field(tb, "n_bins", int, at="tof_bins."))
     return InstrumentConfig(beam, tuple(dets), bins)
 
 
@@ -408,21 +455,29 @@ def sample_from_dict(doc: dict) -> SampleModel:
     {"type": "mixture", "components": [{"weight": w, "sigma": s}, ...]};
     distributions are always centered at zero.
     """
+    doc = json_value(doc, "sample config", dict)
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported config schema {doc.get('schema')!r}")
-    dist = doc["momentum_dist"]
-    if dist["type"] == "gaussian":
-        momentum = ((1.0, dist["sigma"]),)
-    elif dist["type"] == "mixture":
-        momentum = tuple((c["weight"], c["sigma"]) for c in dist["components"])
+    dist = json_field(doc, "momentum_dist", dict)
+    kind = dist.get("type")
+    if kind == "gaussian":
+        momentum = ((1.0, json_field(dist, "sigma", at="momentum_dist.")),)
+    elif kind == "mixture":
+        momentum = []
+        for i, c in enumerate(json_field(dist, "components", list, at="momentum_dist.")):
+            at = f"momentum_dist.components[{i}]"
+            c = json_value(c, at, dict)
+            momentum.append((json_field(c, "weight", at=at + "."),
+                             json_field(c, "sigma", at=at + ".")))
     else:
-        raise ValueError(f"unknown momentum_dist type {dist['type']!r}")
+        raise ValueError(f"unknown momentum_dist type {kind!r}")
     deficit = None
     if doc.get("deficit"):
-        deficit = DeficitInjection(float(doc["deficit"]["lambda"]),
-                                   float(doc["deficit"]["width_ratio"]))
-    return SampleModel(float(doc["M"]), momentum,
-                       float(doc.get("E_rot", 0.0)), deficit)
+        d = json_field(doc, "deficit", dict)
+        deficit = DeficitInjection(json_field(d, "lambda", at="deficit."),
+                                   json_field(d, "width_ratio", at="deficit."))
+    return SampleModel(json_field(doc, "M"), tuple(momentum),
+                       json_field(doc, "E_rot", default=0.0), deficit)
 
 
 def load_sample_json(path) -> SampleModel:

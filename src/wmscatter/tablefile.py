@@ -15,11 +15,26 @@ its bin edges, and says so itself.
 Values are written with repr, the shortest text that reads back as the same
 double, so a round trip through a file is exact.
 
-Writing is bound by repr of 17-digit floats.  The first column is the TOF
-axis, which every detector on one binning shares, so its text is memoised on
-the exact bytes of the column, for at most AXIS_MEMO_SIZE axes.  The memo
-relies on repr being a function of the double alone: equal bytes give equal
-text, so a file written from the memo is byte-identical to one written afresh.
+Writing is bound by repr of 17-digit floats, so each text is made as few
+times as the values allow.  The body is one "".join of a list of cells in
+which column j fills cells[j::n_cols]; a cell is a value's repr with its
+separator attached, "," or "\n" after the last column.  The first column of
+a table of two or more is its axis; a spectrum's or K-E table's is the TOF
+axis, which every detector on one binning shares.  Its cells are memoised on
+the exact bytes of the column (_axis_cells, for at most AXIS_MEMO_SIZE
+axes), and the reader checks body lines against the same cells.  Every
+other column is formatted once per distinct bit pattern (np.unique of its
+int64 view) and taken back into row order.  Both rely on repr being a
+function of the double's bits alone, so the file is byte-identical to one
+written row by row, -0.0, NaN, infinities and subnormals included.
+
+The gain rests on repeated values in a column.  Poisson counts repeat: a
+bank_io spectrum (8192 bins, 200000 counts) holds 100-430 distinct counts,
+and its write takes 0.9 ms where formatting every cell took 1.9 ms.  A K-E
+table's K, E and intensity columns are all distinct, so its write pays
+np.unique and the take on top of every repr, about +1 ms (+5-10%) at 8192
+bins; a noiseless spectrum's counts pay about +4%.  (Medians of 7 runs of 15
+writes, Python 3.11, numpy 2.4, one core of a shared 2-core VM.)
 
 Reading parses the body with numpy's C parser; comments=None, so a data row
 starting with '#' is an error, not skipped.  Only when that parser rejects the
@@ -30,9 +45,9 @@ agree on which files are valid.
 
 A reader that knows the axis the writer used (spectra.table_axis, from the
 file's metadata) skips parsing it, the bulk of the parse: when every body
-line starts with that axis's memoised text and a comma, the body holds
-n_cols - 1 commas a line and no other lines, only the other columns are
-parsed, and the first column is the axis itself.  This is exact: repr text
+line starts with that axis's memoised cell (its text and a comma), the body
+holds n_cols - 1 commas a line and no other lines, only the other columns
+are parsed, and the first column is the axis itself.  This is exact: repr text
 reads back as the same double, so the array is the one a full parse gives,
 and so are the errors, since the rows hold the same text.  On any mismatch
 the file takes the two passes above.
@@ -53,22 +68,35 @@ AXIS_MEMO_SIZE = 8
 def write_table(path, meta: dict, names, columns):
     """Write meta, the column names and the rows of equal-length columns.
 
-    columns[0] is the axis column whose text is memoised.
+    columns[0] is the axis column whose cells are memoised.
     """
-    axis = _axis_text(np.ascontiguousarray(columns[0], dtype=float).tobytes())
-    rest = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns[1:]]
-    body = "\n".join(map(",".join, zip(axis, *rest)))
+    columns = [np.ascontiguousarray(c, dtype=float) for c in columns]
+    n_cols = len(columns)
+    cells = [None] * (n_cols * len(columns[0]))
+    for j, col in enumerate(columns):
+        if j == 0 and n_cols > 1:
+            cells[0::n_cols] = _axis_cells(col.tobytes())
+        else:
+            cells[j::n_cols] = _distinct_cells(col, "\n" if j == n_cols - 1 else ",")
     with open(path, "w", newline="") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
         fh.write(",".join(names) + "\n")
-        if body:
-            fh.write(body)
-            fh.write("\n")
+        fh.write("".join(cells))
 
 
 @functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
-def _axis_text(raw: bytes) -> tuple:
-    return tuple(map(repr, np.frombuffer(raw).tolist()))
+def _axis_cells(raw: bytes) -> tuple:
+    """repr(t) + "," for each double t of raw: the writer's first-column
+    cells and the line prefixes the reader's axis fast path checks."""
+    return tuple(t + "," for t in map(repr, np.frombuffer(raw).tolist()))
+
+
+def _distinct_cells(col, sep) -> list:
+    """repr(v) + sep for each v of col, each distinct bit pattern formatted
+    once: repr is a function of the bits, so the text is the same."""
+    keys, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) + sep for v in keys.view(float).tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def read_table(path, names, check=None, axis=None):
@@ -132,7 +160,7 @@ def _parse_known_axis(body, values, n_cols, commas):
     if len(values) != len(body) or commas != len(body) * (n_cols - 1):
         return None
     raw = np.ascontiguousarray(values, dtype=float).tobytes()
-    if not all(map(str.startswith, body, _axis_prefixes(raw))):
+    if not all(map(str.startswith, body, _axis_cells(raw))):
         return None
     try:
         rest = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
@@ -140,11 +168,6 @@ def _parse_known_axis(body, values, n_cols, commas):
     except ValueError:
         return None
     return np.column_stack([values, rest])
-
-
-@functools.lru_cache(maxsize=AXIS_MEMO_SIZE)
-def _axis_prefixes(raw: bytes) -> tuple:
-    return tuple(t + "," for t in _axis_text(raw))
 
 
 def _parse_columns(body, n_cols):

@@ -19,6 +19,15 @@ from wmscatter.kinematics import KEPoint
 BEAM = NeutronBeam(90.0)
 
 
+def ref_write_rows(path, meta, names, rows):
+    """A table file written row by row, each value by repr."""
+    with open(path, "w", newline="") as fh:
+        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(",".join(names) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
 def ref_write_spectrum_csv(spec, path):
     meta = dict(spec.metadata)
     meta.setdefault("detector_index", spec.detector_index)
@@ -27,22 +36,14 @@ def ref_write_spectrum_csv(spec, path):
         "t_max": float(spec.bin_edges[-1]),
         "n_bins": len(spec.counts),
     })
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        fh.write("tof_us,counts\n")
-        for t, c in zip(spec.bin_centers, spec.counts):
-            fh.write(f"{float(t)!r},{float(c)!r}\n")
+    ref_write_rows(path, meta, spectra.SPECTRUM_COLUMNS, zip(spec.bin_centers, spec.counts))
 
 
 def ref_write_ke_csv(red, meta, path):
     keep = {k: meta[k] for k in ("schema", "seed", "run_seed", "detector_index",
                                  "beam", "detector", "tof_bins", "sample")
             if k in meta}
-    with open(path, "w", newline="") as fh:
-        fh.write("# " + json.dumps(keep, sort_keys=True) + "\n")
-        fh.write("tof_us,K,E,intensity\n")
-        for t, k, e, i in zip(red.t, red.k, red.e, red.intensity):
-            fh.write(f"{float(t)!r},{float(k)!r},{float(e)!r},{float(i)!r}\n")
+    ref_write_rows(path, keep, cli.KE_COLUMNS, zip(red.t, red.k, red.e, red.intensity))
 
 
 def ref_circles(points):
@@ -96,6 +97,8 @@ def test_spectrum_file_matches_row_writer(tmp_path, poisson):
     spec = spectra.simulate_spectrum(cfg, h2_sample(), 0)
     if poisson:
         spec = spectra.poisson_sample(spec, 200000, seed=4)
+        # the writer formats each distinct count once
+        assert len(np.unique(spec.counts)) < len(spec.counts) / 4
     else:
         assert np.any(spec.counts != np.round(spec.counts))
     assert max(len(repr(t)) for t in spec.bin_centers.tolist()) >= 18
@@ -118,18 +121,54 @@ def test_alternating_binnings_keep_their_own_tof_column(tmp_path):
         assert same_bytes(tmp_path / f"new{n}.csv", tmp_path / f"ref{n}.csv")
 
 
-def test_ke_file_with_nan_rows_matches_row_writer(tmp_path):
-    # the first bins arrive before the incident flight time: nan K and E
+# Values whose text a writer could get wrong: both zeros, both NaN signs
+# (whose repr is the same), both infinities, the smallest subnormal and a
+# double that repr writes in exponent form.
+EDGE_VALUES = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e16]
+
+
+def ke_reduction():
+    """A 64-bin K-E reduction whose first bins arrive before the incident
+    flight time, so they hold nan K and E."""
     t_in = 11.6 / BEAM.v0 / C.US_S
     cfg = h2_config(t_in - 40.0 + 0.1234567, t_in + 600.0, 64)
     spec = spectra.Spectrum(0, cfg.tof_bins.edges, np.linspace(0.0, 63.0, 64),
                             {"schema": 1, "seed": 3})
     red = analysis.reduce_spectrum(spec, cfg, 0, poisson_errors=True)
     assert np.isnan(red.e).any() and np.isfinite(red.e).any()
-    cli._write_ke_csv(red, spec.metadata, tmp_path / "new.csv")
-    ref_write_ke_csv(red, spec.metadata, tmp_path / "ref.csv")
-    assert same_bytes(tmp_path / "new.csv", tmp_path / "ref.csv")
-    back = cli._read_ke_csv(tmp_path / "new.csv")
+    return red, spec.metadata
+
+
+def rows_of(red, rows):
+    return replace(red, t=red.t[rows], k=red.k[rows], e=red.e[rows],
+                   intensity=red.intensity[rows])
+
+
+@pytest.mark.parametrize("case", ["ke-nan-rows", "ke-edge-values", "ke-0-rows", "ke-1-row",
+                                  "centroids"])
+def test_table_file_matches_row_writer(tmp_path, case):
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    if case == "centroids":   # the first column is a detector index, not a TOF axis
+        records = [(d, KEPoint(2.0 + d / 3, 20.0 + 5.0 * d, None if d == 2 else 0.1))
+                   for d in range(5)]
+        analysis.write_centroids_csv(records, new, metadata={"seed": 3})
+        ref_write_rows(ref, {"schema": 1, "seed": 3}, analysis.CENTROID_COLUMNS,
+                       [(d, pt.k, pt.e, math.nan if pt.sigma_e is None else pt.sigma_e)
+                        for d, pt in records])
+        assert same_bytes(new, ref)
+        assert analysis.read_centroids_csv(new)[1] == records
+        return
+    red, meta = ke_reduction()
+    if case == "ke-edge-values":
+        red = replace(red, intensity=np.resize(EDGE_VALUES, len(red.t)))
+    elif case == "ke-0-rows":
+        red = rows_of(red, slice(0, 0))
+    elif case == "ke-1-row":
+        red = rows_of(red, slice(-1, None))
+    cli._write_ke_csv(red, meta, new)
+    ref_write_ke_csv(red, meta, ref)
+    assert same_bytes(new, ref)
+    back = cli._read_ke_csv(new)
     assert np.array_equal(back, np.column_stack([red.k, red.e, red.intensity]),
                           equal_nan=True)
 

@@ -364,6 +364,66 @@ def test_bad_sample_width_or_weights_exit_2(tmp_path, capsys, dist, named):
     assert captured.err.startswith("error: momentum_dist ") and named in captured.err
 
 
+@pytest.mark.parametrize("keys, value, named", [
+    (("momentum_dist", "sigma"), None, "momentum_dist.sigma = null is not a JSON number"),
+    (("M",), None, "M = null is not a JSON number"),
+    (("detectors", 1, "theta"), None, "detectors[1].theta = null is not a JSON number"),
+    (("tof_bins", "n_bins"), None, "tof_bins.n_bins = null is not a JSON integer"),
+    (("momentum_dist",), {"type": "mixture", "components": [[0.6, 0.3], [0.4, 0.6]]},
+     "momentum_dist.components[0] = [0.6, 0.3] is not a JSON object"),
+    (("M",), True, "M = true is not a JSON number"),
+], ids=["sigma-null", "M-null", "theta-null", "n_bins-null", "components-lists", "M-true"])
+def test_null_or_wrongly_shaped_config_field_exits_2(tmp_path, capsys, keys, value, named):
+    """The first five once escaped as a TypeError traceback with exit 1, and
+    "M": true simulated a sample of mass 1."""
+    tmp, inst, sample = write_h2_inputs(tmp_path, angles=(8, 13, 18, 23))
+    path = tmp / ("instrument.json" if keys[0] in ("detectors", "tof_bins") else "sample.json")
+    doc = json.loads(path.read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(["simulate", "--instrument", inst, "--sample", sample,
+                     "--out", str(tmp / "sim")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp / "sim").exists()
+    assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("keys, error", [
+    (("tof_bins", "n_bins"),
+     "ParseError: line 1: metadata tof_bins.n_bins = null is not a JSON integer"),
+    (("tof_bins", "t_min"),
+     "ParseError: line 1: metadata tof_bins.t_min = null is not a JSON number"),
+    (("detector_index",),
+     "ParseError: line 1: metadata detector_index = null is not a JSON integer"),
+    (("detector", "theta"),
+     "MissingMetadata: spectrum metadata: detector.theta = null is not a JSON number"),
+], ids=["n_bins", "t_min", "detector_index", "theta"])
+def test_reduce_lists_a_spectrum_with_a_null_metadata_field(h2_inputs, capsys, keys, error):
+    """A null field in one spectrum's metadata once aborted the whole batch
+    with a TypeError traceback (exit 1, no centroids.csv)."""
+    tmp, inst, sample = h2_inputs
+    sim, red = tmp / "sim", tmp / "red"
+    run(["simulate", "--instrument", inst, "--sample", sample, "--out", sim])
+    for d in (2, 3, 4):   # keep det000 and det001
+        os.remove(sim / f"spectrum_det{d:03d}.csv")
+    bad = sim / "spectrum_det001.csv"
+    header, rest = bad.read_text().split("\n", 1)
+    meta = json.loads(header[2:])
+    node = meta
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = None
+    bad.write_text(f"# {json.dumps(meta)}\n{rest}")
+    assert cli.main(["reduce", "--input", str(sim), "--out", str(red)]) == 1
+    assert "spectrum_det001.csv" in capsys.readouterr().err
+    meta, recs = analysis.read_centroids_csv(red / "centroids.csv")
+    assert [d for d, _ in recs] == [0]
+    assert meta["failures"] == [{"path": str(bad), "error": error}]
+
+
 def test_cli_import_leaves_out_scipy():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
